@@ -52,23 +52,17 @@ def test_engine_throughput_sweep(record):
     for dim, ratios in record["speedups"].items():
         lines.append(
             f"D={dim:>6}: packed {ratios['packed_vs_float']:.2f}x, "
-            f"packed_v2 {ratios['packed_v2_vs_float']:.2f}x, "
             f"packed+threads {ratios['packed_mt_vs_float']:.2f}x vs float"
         )
     save_result("engine_throughput", "\n".join(lines))
     print("\n" + "\n".join(lines))
 
-    # Acceptance shape: packed wins for the quantised config at D >= 4096,
-    # and the second-generation backend supersedes it.
+    # Acceptance shape: packed wins for the quantised config at D >= 4096.
     for dim, ratios in record["speedups"].items():
         if int(dim) >= 4096:
             assert ratios["packed_vs_float"] > 1.0, (
                 f"packed slower than float at D={dim}: "
                 f"{ratios['packed_vs_float']:.2f}x"
-            )
-            assert ratios["packed_v2_vs_float"] > 1.0, (
-                f"packed_v2 slower than float at D={dim}: "
-                f"{ratios['packed_v2_vs_float']:.2f}x"
             )
 
 
@@ -77,8 +71,8 @@ def test_variants_agree_numerically():
     model = _fitted_model(dim=1000, features=16, seed=0)
     X = np.random.default_rng(1).normal(size=(257, 16))
     ref = model.predict(X)
-    packed = model.compile()
-    unpacked = model.compile(packed=False)
+    packed = model.compile(backend="packed")
+    unpacked = model.compile(backend="dense")
     np.testing.assert_allclose(
         packed.predict(X, n_workers=1), ref, rtol=1e-9, atol=1e-10
     )
@@ -89,9 +83,5 @@ def test_variants_agree_numerically():
         atol=1e-10,
     )
     np.testing.assert_allclose(unpacked.predict(X), ref, rtol=1e-9, atol=1e-10)
-    v2 = model.compile(backend="packed_v2")
-    np.testing.assert_allclose(
-        v2.predict(X, n_workers=1), ref, rtol=1e-9, atol=1e-10
-    )
-    v2_remat = model.compile(backend="packed_v2", rematerialize=True)
-    np.testing.assert_array_equal(v2_remat.predict(X), v2.predict(X))
+    remat = model.compile(backend="packed", rematerialize=True)
+    np.testing.assert_array_equal(remat.predict(X), packed.predict(X))

@@ -1,6 +1,6 @@
 """Microbenchmarks for the packed runtime kernels (ISSUE-7).
 
-Times the primitive kernels the PackedV2 backend is built from, on
+Times the primitive kernels the packed backend is built from, on
 serving-shaped operands (many query rows × few model rows):
 
 * ``pack_bits`` / ``pack_sign_words`` — float signs → uint64 words;

@@ -328,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     predict.add_argument(
         "--backend",
-        choices=["dense", "packed", "packed_v2"],
+        choices=["dense", "packed"],
         default=None,
         help="execution-runtime backend for the compiled serving path "
         "(default: auto from the model's quantisation config)",
@@ -485,10 +485,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0, help="master seed")
     bench.add_argument(
         "--backend",
-        choices=["dense", "packed", "packed_v2"],
+        choices=["dense", "packed"],
         default="packed",
         help="execution-runtime backend for the `packed` variant "
-        "(packed_v2/packed_mt cells always run the v2 backend)",
+        "(the packed_mt cell always runs the packed backend)",
     )
     bench.add_argument(
         "--quick",
@@ -1116,7 +1116,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for dim, ratios in record["speedups"].items():
         print(
             f"D={dim:>6}: packed {ratios['packed_vs_float']:.2f}x, "
-            f"packed_v2 {ratios['packed_v2_vs_float']:.2f}x, "
             f"packed+threads {ratios['packed_mt_vs_float']:.2f}x vs float"
         )
     runtime = record["runtime"]

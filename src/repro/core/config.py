@@ -121,8 +121,11 @@ class RegHDConfig:
         Master seed; encoder bases, cluster initialisation and epoch
         shuffling derive independent streams from it.
     backend:
-        Execution-runtime kernel backend name (``"dense"``/``"packed"``,
-        see :func:`repro.runtime.resolve_backend`).  ``None`` defers to
+        Execution-runtime kernel backend name: ``"dense"`` (exact float
+        reference) or ``"packed"`` (XOR + popcount wherever quantisation
+        allows, with fused encode→pack compiled serving when both heavy
+        stages binarise); see :func:`repro.runtime.resolve_backend`,
+        which rejects any other name.  ``None`` defers to
         the ``REPRO_BACKEND`` environment variable and then the dense
         default; a pinned name wins over the environment, so configs stay
         reproducible across machines.  Affects *how* kernels execute, not

@@ -358,7 +358,6 @@ class MultiModelRegHD(BaseRegHDEstimator):
         self,
         *,
         backend: str | None = None,
-        packed: bool | None = None,
         tile_rows: int | None = None,
         n_workers: int = 1,
         rematerialize: bool = False,
@@ -371,15 +370,14 @@ class MultiModelRegHD(BaseRegHDEstimator):
         products run as XOR + popcount — and executes batches through the
         tiled, optionally multi-threaded engine.  See
         :func:`repro.engine.compile_model` for the knobs, including the
-        ``backend``/``packed`` serving-backend selection and the
-        ``rematerialize`` seed-provenance memory trade.
+        ``backend`` serving-backend selection and the ``rematerialize``
+        seed-provenance memory trade.
         """
         from repro.engine import compile_model
 
         return compile_model(
             self,
             backend=backend,
-            packed=packed,
             tile_rows=tile_rows,
             n_workers=n_workers,
             rematerialize=rematerialize,

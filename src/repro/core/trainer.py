@@ -195,7 +195,10 @@ class IterativeTrainer:
                     plateau = 0
                 previous = monitored
                 if epoch >= policy.min_epochs and plateau >= policy.patience:
-                    history.converged = True
+                    # A "plateau" of rising MSE is a stop, not convergence:
+                    # only report convergence when the run ends near its best.
+                    best = min(r.monitored for r in history.records)
+                    history.converged = monitored <= best * (1 + policy.tol)
                     break
         finally:
             if finish is not None:

@@ -1,20 +1,19 @@
-"""Inference throughput/latency harness: float vs packed vs v2 vs threaded.
+"""Inference throughput/latency harness: float vs packed vs threaded.
 
 Shared by the CLI ``bench`` subcommand and
 ``benchmarks/test_engine_throughput.py``.  For each hypervector
-dimensionality it times four serving paths on the same fitted, quantised
+dimensionality it times three serving paths on the same fitted, quantised
 model (``cluster_quant=framework``, ``predict_quant=binary_both`` — the
 configuration where every heavy stage binarises):
 
-* ``float`` — the legacy :meth:`MultiModelRegHD.predict` path (float
+* ``float`` — the uncompiled :meth:`MultiModelRegHD.predict` path (float
   sign matmuls);
 * ``packed`` — a compiled plan on the requested backend (default: the
-  first-generation XOR + popcount backend), single-threaded;
-* ``packed_v2`` — a compiled plan pinned to the second-generation
-  backend (fused encode→pack, cache-blocked popcount), single-threaded;
-* ``packed_mt`` — the ``packed_v2`` plan fanned over the persistent
-  thread pool (sequential fallback below the measured work cutoff, so
-  it is never slower than ``packed_v2``).
+  packed backend, fused encode→pack + cache-blocked popcount),
+  single-threaded;
+* ``packed_mt`` — a plan pinned to the packed backend fanned over the
+  persistent thread pool (sequential fallback below the measured work
+  cutoff, so it is never slower than the single-threaded plan).
 
 The emitted dict is what ``BENCH_inference.json`` stores at the repo
 root: rows/sec plus p50/p99 per-batch latency for every (dim, variant)
@@ -94,9 +93,9 @@ def run_inference_benchmark(
     ``quick=True`` shrinks the sweep (drops D = 10k, smaller batches,
     fewer repeats) to a CI-friendly smoke run that still yields the
     packed-vs-float comparison at D = 4096.  ``backend`` selects the
-    execution-runtime backend for the ``packed`` cell; the ``packed_v2``
-    and ``packed_mt`` cells always run the second-generation backend and
-    the ``float`` cell always runs the uncompiled model path.
+    execution-runtime backend for the ``packed`` cell; the ``packed_mt``
+    cell always runs the packed backend and the ``float`` cell always
+    runs the uncompiled model path.
     """
     if quick:
         dims = tuple(d for d in dims if d <= 4096) or dims[:1]
@@ -110,15 +109,14 @@ def run_inference_benchmark(
     for dim in dims:
         model = _fitted_model(dim, features, seed)
         plan = model.compile(backend=runtime, n_workers=1)
-        plan_v2 = model.compile(backend="packed_v2", n_workers=1)
+        packed_plan = model.compile(backend="packed", n_workers=1)
         X = rng.normal(size=(batch_rows, features))
 
         cells = {
             "float": _time_predictor(model.predict, X, repeats),
             "packed": _time_predictor(plan.predict, X, repeats),
-            "packed_v2": _time_predictor(plan_v2.predict, X, repeats),
             "packed_mt": _time_predictor(
-                lambda batch: plan_v2.predict(batch, n_workers=n_workers),
+                lambda batch: packed_plan.predict(batch, n_workers=n_workers),
                 X,
                 repeats,
             ),
@@ -128,10 +126,6 @@ def run_inference_benchmark(
         speedups[str(dim)] = {
             "packed_vs_float": cells["packed"]["rows_per_s"]
             / cells["float"]["rows_per_s"],
-            "packed_v2_vs_float": cells["packed_v2"]["rows_per_s"]
-            / cells["float"]["rows_per_s"],
-            "packed_v2_vs_packed": cells["packed_v2"]["rows_per_s"]
-            / cells["packed"]["rows_per_s"],
             "packed_mt_vs_float": cells["packed_mt"]["rows_per_s"]
             / cells["float"]["rows_per_s"],
         }
@@ -191,8 +185,8 @@ def compare_inference_records(
 
     The ``packed`` cell runs whatever backend the record requested, so
     that cell — and every ratio built on it — is only diffed when both
-    records requested the same backend; the ``float``, ``packed_v2`` and
-    ``packed_mt`` cells are pinned and always comparable.
+    records requested the same backend; the ``float`` and ``packed_mt``
+    cells are pinned and always comparable.
 
     Returns a dict with ``strict`` (which mode ran), ``compared`` (cells
     diffed), ``lines`` (human-readable diff rows), ``regressions`` (the

@@ -24,7 +24,6 @@ recompiling the whole plan after every absorbed batch.
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass, field
 
@@ -40,7 +39,6 @@ from repro.exceptions import (
     NotFittedError,
 )
 from repro.runtime import (
-    BACKEND_ENV_VAR,
     EncoderOperands,
     FrozenClusterOperand,
     FrozenModelOperand,
@@ -445,37 +443,28 @@ def auto_tile_rows(
 
 
 def _resolve_compile_backend(
-    model: MultiModelRegHD,
-    packed: bool | None,
-    backend: "KernelBackend | str | None",
+    model: MultiModelRegHD, backend: "KernelBackend | str | None"
 ) -> KernelBackend:
-    """Pick the serving backend: packed flag > backend > config > env > auto.
+    """Pick the serving backend: backend > config > env > auto.
 
-    The auto default keeps the engine's historical behaviour — packed
-    operands exactly where a stage benefits (quantised cluster search or
-    fully-binary dots), dense otherwise.
+    The auto default puts packed operands exactly where a stage benefits
+    (quantised cluster search or fully-binary dots), dense otherwise.
     """
-    if packed is not None:
-        return resolve_backend("packed" if packed else "dense")
     cfg = model.config
-    if (
-        backend is not None
-        or cfg.backend is not None
-        or os.environ.get(BACKEND_ENV_VAR)
-    ):
-        return resolve_backend(backend if backend is not None else cfg.backend)
     beneficial = (
         cfg.cluster_quant is not ClusterQuant.NONE
         or cfg.predict_quant is PredictQuant.BINARY_BOTH
     )
-    return resolve_backend("packed_v2" if beneficial else "dense")
+    return resolve_backend(
+        backend if backend is not None else cfg.backend,
+        default="packed" if beneficial else "dense",
+    )
 
 
 def compile_model(
     model: MultiModelRegHD,
     *,
     backend: "KernelBackend | str | None" = None,
-    packed: bool | None = None,
     tile_rows: int | None = None,
     n_workers: int = 1,
     rematerialize: bool = False,
@@ -492,13 +481,7 @@ def compile_model(
         Execution-runtime backend for the serving kernels (a registry
         name or instance).  ``None`` defers to ``model.config.backend``,
         then the ``REPRO_BACKEND`` environment variable, then the
-        historical automatic choice: packed exactly where a stage
-        benefits from it.
-    packed:
-        Legacy boolean override: ``True`` forces the packed popcount
-        backend wherever the quantisation scheme permits it, ``False``
-        keeps every stage on float operands.  Takes precedence over
-        ``backend`` when given.
+        automatic choice: packed exactly where a stage benefits from it.
     tile_rows:
         Rows per execution tile.  ``None`` sizes tiles so one worker's
         scratch stays near 24 MiB (:func:`auto_tile_rows`).
@@ -533,7 +516,7 @@ def compile_model(
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     cfg = model.config
 
-    runtime = _resolve_compile_backend(model, packed, backend)
+    runtime = _resolve_compile_backend(model, backend)
     packed_sims = runtime.packs_similarities(cfg.cluster_quant)
     packed_dots = runtime.packs_dots(cfg.predict_quant)
 
@@ -546,7 +529,8 @@ def compile_model(
     fused_encode = False
     if type(model.encoder) is NonlinearEncoder:
         enc_scale = float(model.encoder.scale)
-        fused_encode = runtime.fuses_encode(cfg.cluster_quant, cfg.predict_quant)
+        # Fuse encode→pack exactly when every heavy stage runs packed.
+        fused_encode = packed_sims and packed_dots
         if rematerialize:
             if cfg.seed is None:
                 raise ConfigurationError(

@@ -1,7 +1,7 @@
 """Evaluation harness: experiment runner, grid search, conformal intervals,
 reporting."""
 
-from repro.evaluation.conformal import ConformalRegressor, PredictionInterval
+from repro.evaluation.conformal import ConformalRegressor
 from repro.evaluation.grid import GridResult, grid_search, iter_grid
 from repro.evaluation.reporting import render_markdown, render_pivot, render_table
 from repro.evaluation.stats import (
@@ -23,7 +23,6 @@ from repro.evaluation.runner import (
 
 __all__ = [
     "ConformalRegressor",
-    "PredictionInterval",
     "GridResult",
     "grid_search",
     "iter_grid",

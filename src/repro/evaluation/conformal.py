@@ -7,9 +7,7 @@ least ``1 - alpha`` (over the calibration draw), the interval contains
 the true target of an exchangeable test point.
 
 The interval container and the finite-sample quantile rule are shared
-with the streaming calibrator and live canonically in
-:mod:`repro.robust.conformal`; this module re-exports
-:class:`PredictionInterval` for backward compatibility.
+with the streaming calibrator and live in :mod:`repro.robust.conformal`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from repro.types import ArrayLike, FloatArray, SeedLike
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_1d, check_2d, check_matching_lengths
 
-__all__ = ["ConformalRegressor", "PredictionInterval", "conformal_quantile"]
+__all__ = ["ConformalRegressor"]
 
 
 class ConformalRegressor:

@@ -14,7 +14,7 @@ from repro.ops.bundling import (
 )
 from repro.ops.item_memory import ItemMemory
 from repro.ops.normalize import normalize_rows, softmax
-from repro.ops.packing import (
+from repro.runtime.packing import (
     pack_bits,
     pack_sign_words,
     packed_hamming_distance,

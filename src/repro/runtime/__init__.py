@@ -69,7 +69,6 @@ from repro.runtime.base import (
 )
 from repro.runtime.dense import DenseBackend
 from repro.runtime.packed import PackedBackend
-from repro.runtime.packed_v2 import PackedV2Backend
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -78,7 +77,6 @@ __all__ = [
     "KernelBackend",
     "DenseBackend",
     "PackedBackend",
-    "PackedV2Backend",
     "resolve_backend",
     "EncoderOperands",
     "FusedScratch",

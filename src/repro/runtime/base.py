@@ -38,8 +38,8 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "dense"
 
 #: bumped when kernel semantics change; recorded in benchmark artifacts.
-#: 2.0: cache-blocked pairwise popcount kernels + the PackedV2 fused
-#: encode→pack serving pipeline.
+#: 2.0: cache-blocked pairwise popcount kernels + the fused encode→pack
+#: serving pipeline.
 RUNTIME_VERSION = "2.0"
 
 
@@ -79,14 +79,6 @@ class KernelBackend:
 
     def packs_dots(self, predict_quant: PredictQuant) -> bool:
         """Whether the model dots run on packed words for this quant."""
-        return False
-
-    def fuses_encode(
-        self, cluster_quant: ClusterQuant, predict_quant: PredictQuant
-    ) -> bool:
-        """Whether compiled serving may fuse encode→pack for this quant
-        pair (raw rows straight to packed words, no float tile).  Only
-        backends that also implement ``encode_pack`` return True."""
         return False
 
     # -- query plumbing ----------------------------------------------------
@@ -146,35 +138,17 @@ class KernelBackend:
     ) -> FloatArray:
         """The Eq.-4 LMS update term, returned rather than applied.
 
-        ``lms_update`` adds exactly this array in place, so callers that
-        route updates through the mergeable-delta sinks
-        (:meth:`repro.core.estimator.BaseRegHDEstimator._push_update`)
-        produce bit-identical models to the historical in-place path.
+        Callers land it through the mergeable-delta sinks
+        (:meth:`repro.core.estimator.BaseRegHDEstimator._push_update`).
         """
         return lr * (errors @ S) / len(S)
-
-    def lms_update(
-        self, model: FloatArray, errors: FloatArray, S: FloatArray, lr: float
-    ) -> None:
-        """In-place LMS step on a single model vector (Eq. 4)."""
-        model += self.lms_step(errors, S, lr)
 
     def weighted_model_step(
         self, weights: FloatArray, S: FloatArray, lr: float
     ) -> FloatArray:
-        """The Eq.-7 batched update term, returned rather than applied.
-
-        ``weighted_model_update`` lands exactly this array on the dual
-        copy, so delta-sink callers stay bit-identical to the in-place
-        path.
-        """
+        """The Eq.-7 confidence-weighted batched update term, returned
+        rather than applied (the caller lands it on the dual copy)."""
         return lr * (weights.T @ S) / S.shape[0]
-
-    def weighted_model_update(
-        self, models, weights: FloatArray, S: FloatArray, lr: float
-    ) -> None:
-        """Confidence-weighted batched model update (Eq. 7) into a DualCopy."""
-        models.update_all(self.weighted_model_step(weights, S, lr))
 
     def segment_delta(
         self, indices: np.ndarray, rows: FloatArray, k: int

@@ -11,11 +11,7 @@ pre-encoded data under both registered backends:
 * ``dense`` — the reference float kernels (sign matmuls);
 * ``packed`` — bit-packed uint64 XOR + popcount kernels, fed by the
   epoch-spanning :class:`~repro.runtime.QueryCache` the
-  ``begin_training`` hook installs;
-* ``packed_v2`` — the second-generation backend.  Training shares the
-  v1 kernel implementations (the fused encode→pack pipeline is
-  serve-only), so its column reports the cache-blocked popcount path
-  and is expected to track ``packed`` closely.
+  ``begin_training`` hook installs.
 
 Timing covers exactly what an epoch costs in production:
 ``fit_epoch`` + ``end_epoch`` (the per-epoch re-binarisation is part of
@@ -47,7 +43,7 @@ from repro.telemetry.timing import monotonic
 TRAIN_DIMS = (4096, 10000)
 
 #: Backends compared; ``dense`` is the baseline every ratio divides by.
-BACKENDS = ("dense", "packed", "packed_v2")
+BACKENDS = ("dense", "packed")
 
 
 def _quantised_model(
@@ -183,8 +179,6 @@ def run_training_benchmark(
             results.append({"dim": int(dim), "backend": backend, **stats})
         speedups[str(dim)] = {
             "packed_vs_dense": cells["packed"]["rows_per_s"]
-            / cells["dense"]["rows_per_s"],
-            "packed_v2_vs_dense": cells["packed_v2"]["rows_per_s"]
             / cells["dense"]["rows_per_s"],
         }
 

@@ -1,4 +1,4 @@
-"""Fused encode→pack pipeline for binary-query inference (PackedV2).
+"""Fused encode→pack pipeline for binary-query inference (packed backend).
 
 When every heavy serving stage runs on packed sign words (quantised
 cluster search *and* fully-binary model dots), the full ``(tile, D)``

@@ -100,10 +100,6 @@ class InstrumentedBackend(KernelBackend):
         """Delegate the packed-dots capability probe."""
         return self.inner.packs_dots(predict_quant)
 
-    def fuses_encode(self, cluster_quant, predict_quant) -> bool:
-        """Delegate the fused encode→pack capability probe."""
-        return self.inner.fuses_encode(cluster_quant, predict_quant)
-
     def make_training_cache(self, S, *, cluster_quant, predict_quant):
         """Delegate cache construction; emits a cache ``build`` event."""
         cache = self.inner.make_training_cache(
@@ -175,13 +171,6 @@ class InstrumentedBackend(KernelBackend):
         self._record("lms_step", errors.nbytes + S.nbytes + step.nbytes)
         return step
 
-    def lms_update(self, model, errors, S, lr):
-        """Count + delegate the in-place LMS step."""
-        self.inner.lms_update(model, errors, S, lr)
-        self._record(
-            "lms_update", model.nbytes + errors.nbytes + S.nbytes
-        )
-
     def weighted_model_step(self, weights, S, lr):
         """Count + delegate the returned Eq.-7 update term."""
         step = self.inner.weighted_model_step(weights, S, lr)
@@ -190,14 +179,6 @@ class InstrumentedBackend(KernelBackend):
             weights.nbytes + S.nbytes + step.nbytes,
         )
         return step
-
-    def weighted_model_update(self, models, weights, S, lr):
-        """Count + delegate the batched Eq.-7 model update."""
-        self.inner.weighted_model_update(models, weights, S, lr)
-        self._record(
-            "weighted_model_update",
-            operand_nbytes(models) + weights.nbytes + S.nbytes,
-        )
 
     def segment_delta(self, indices, rows, k):
         """Count + delegate the Eq.-8 segment accumulation."""

@@ -9,6 +9,15 @@ products are small integers), so quantised-search training under this
 backend reproduces the dense trajectory exactly; only the fully-binary
 dots differ, by float rounding in the scale multiplication order.
 
+When both heavy stages run packed (``cluster_quant != NONE`` and
+``predict_quant == BINARY_BOTH``) the float encoding has no remaining
+consumer, so compiled plans fuse encode→pack
+(:func:`repro.runtime.fused.encode_pack_tile`): raw feature rows go
+straight to uint64 sign words plus binary-query scales, one
+cache-resident column block at a time, and the full float hypervector
+tile is never materialised.  Fused-plan predictions agree with the dense
+reference to float rounding; training never takes the fused path.
+
 Everything not expressible over sign bits (full-precision cosine
 similarities, integer-operand dots, the update arithmetic that must hit
 the integer shadow copies exactly) falls through to the inherited dense
@@ -17,9 +26,11 @@ kernels.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.runtime.quantization import ClusterQuant, PredictQuant
 from repro.registry import register_backend
-from repro.runtime import kernels
+from repro.runtime import fused, kernels
 from repro.runtime.base import KernelBackend
 from repro.runtime.query import QueryCache
 from repro.types import FloatArray
@@ -34,6 +45,15 @@ class PackedBackend(KernelBackend):
 
     def packs_dots(self, predict_quant: PredictQuant) -> bool:
         return predict_quant is PredictQuant.BINARY_BOTH
+
+    def encode_pack(
+        self,
+        X: FloatArray,
+        enc: fused.EncoderOperands,
+        scratch: fused.FusedScratch,
+    ) -> tuple[np.ndarray, FloatArray]:
+        """Fused raw-rows → (packed sign words, binary-query scales)."""
+        return fused.encode_pack_tile(X, enc, scratch)
 
     def make_training_cache(
         self,

@@ -253,7 +253,6 @@ class TestBench:
         assert {r["variant"] for r in record["results"]} == {
             "float",
             "packed",
-            "packed_v2",
             "packed_mt",
         }
         assert set(record["speedups"]) == {"64", "96"}

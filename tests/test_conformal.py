@@ -6,10 +6,10 @@ import pytest
 from repro import MultiModelRegHD, RegHDConfig
 from repro.baselines import RidgeRegression
 from repro.core import ConvergencePolicy
-from repro.evaluation.conformal import ConformalRegressor, PredictionInterval
+from repro.evaluation.conformal import ConformalRegressor
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.reliability.resilient import ResilientStreamingRegHD
-from repro.robust.conformal import AdaptiveConformal
+from repro.robust.conformal import AdaptiveConformal, PredictionInterval
 
 
 def _task(n=600, seed=0, noise=0.3):

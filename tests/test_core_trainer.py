@@ -32,6 +32,16 @@ class _DivergingModel(_ToyModel):
         self.w += 10.0 ** (5 + self.epoch_ends)
 
 
+class _RisingModel(_ToyModel):
+    """Fits for two epochs, then walks away from the target every epoch."""
+
+    def fit_epoch(self, S, y, order):
+        if self.epoch_ends < 2:
+            super().fit_epoch(S, y, order)
+        else:
+            self.w += 0.5
+
+
 def _data(n=50):
     rng = np.random.default_rng(0)
     S = rng.normal(size=(n, 1))
@@ -91,6 +101,18 @@ class TestTrainingLoop:
         assert history.diverged
         assert not history.converged
         assert history.n_epochs < 20
+
+    def test_rising_mse_stop_is_not_convergence(self):
+        S, y = _data()
+        y = y + np.random.default_rng(1).normal(scale=0.5, size=len(y))
+        history = IterativeTrainer(
+            ConvergencePolicy(max_epochs=20, patience=3), seed=0
+        ).train(_RisingModel(), S, y)
+        curve = history.train_curve()
+        assert np.all(np.diff(curve[1:]) > 0)  # MSE rises after epoch 2
+        assert history.n_epochs == 4  # the plateau rule still stops it
+        assert not history.diverged
+        assert not history.converged
 
     def test_deterministic_given_seed(self):
         S, y = _data()

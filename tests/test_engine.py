@@ -67,14 +67,16 @@ class TestCompile:
         with pytest.raises(ConfigurationError):
             model.compile(n_workers=0)
 
-    def test_auto_packing_follows_quantisation(self):
+    def test_auto_packing_follows_quantisation(self, monkeypatch):
+        # The auto pick applies only when no backend is chosen anywhere.
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert _fitted().compile().packed
         assert not _fitted(
             ClusterQuant.NONE, PredictQuant.FULL
         ).compile().packed
 
     def test_operands_are_read_only(self):
-        plan = _fitted().compile()
+        plan = _fitted().compile(backend="packed")
         for arr in (plan.cluster_words, plan.model_words, plan.model_scales):
             assert arr is not None
             with pytest.raises(ValueError):
@@ -90,7 +92,7 @@ class TestCompile:
         assert not np.allclose(model.predict(X), before)
 
     def test_repr_and_nbytes(self):
-        plan = _fitted().compile()
+        plan = _fitted().compile(backend="packed")
         assert "packed-sims" in repr(plan) and "packed-dots" in repr(plan)
         assert plan.nbytes > 0
         # Packed cluster operands are 64x smaller than their float form.
@@ -107,8 +109,8 @@ class TestPredict:
         model = _fitted()
         X, _ = _task(seed=1, n=67)
         ref = model.predict(X)
-        for packed in (True, False):
-            plan = model.compile(packed=packed)
+        for backend in ("packed", "dense"):
+            plan = model.compile(backend=backend)
             np.testing.assert_allclose(
                 plan.predict(X), ref, rtol=1e-9, atol=1e-10
             )
@@ -193,7 +195,7 @@ class TestPlanRefresh:
     def test_decay_only_update_repacks_no_model_words(self):
         """Pure magnitude decay keeps every sign, so no word re-packs."""
         model = _fitted()
-        plan = model.compile()
+        plan = model.compile(backend="packed")
         before = plan.refresh_stats
         model.models.update_all(-0.5 * model.models.integer)
         model.models.rebinarize()
@@ -282,10 +284,9 @@ class TestBenchHarness:
         assert {r["variant"] for r in record["results"]} == {
             "float",
             "packed",
-            "packed_v2",
             "packed_mt",
         }
-        assert len(record["results"]) == 8
+        assert len(record["results"]) == 6
         for stats in record["results"]:
             assert stats["rows_per_s"] > 0
             assert stats["p50_ms"] <= stats["p99_ms"] + 1e-9
@@ -317,15 +318,12 @@ class TestCompareGate:
                 for v, r in (
                     ("float", 100.0),
                     ("packed", 200.0),
-                    ("packed_v2", 300.0),
                     ("packed_mt", 310.0),
                 )
             ],
             "speedups": {
                 "64": {
                     "packed_vs_float": 2.0,
-                    "packed_v2_vs_float": 3.0,
-                    "packed_v2_vs_packed": 1.5,
                     "packed_mt_vs_float": 3.1,
                 }
             },
@@ -342,7 +340,7 @@ class TestCompareGate:
             row["rows_per_s"] *= 0.5
         report = compare_inference_records(self._record(), current)
         assert report["strict"] and report["note"] is None
-        assert len(report["regressions"]) == 4
+        assert len(report["regressions"]) == 3
 
     def test_quick_records_get_doubled_slack(self):
         import copy
@@ -357,7 +355,7 @@ class TestCompareGate:
         for row in current["results"]:
             row["rows_per_s"] *= 0.85  # -28% compounded: real regression
         report = compare_inference_records(baseline, current)
-        assert len(report["regressions"]) == 4
+        assert len(report["regressions"]) == 3
 
     def test_params_mismatch_is_incomparable(self):
         current = self._record(params={"batch_rows": 2048})
@@ -367,7 +365,7 @@ class TestCompareGate:
 
     def test_cross_machine_falls_back_to_ratios_with_doubled_slack(self):
         current = self._record(machine={"cpu_count": 8})
-        current["speedups"]["64"]["packed_v2_vs_packed"] = 1.3  # -13% < 20%
+        current["speedups"]["64"]["packed_mt_vs_float"] = 2.7  # -13% < 20%
         current["speedups"]["64"]["packed_vs_float"] = 1.0  # -50%
         report = compare_inference_records(self._record(), current)
         assert not report["strict"]
@@ -377,14 +375,13 @@ class TestCompareGate:
     def test_backend_mismatch_skips_packed_cells(self):
         current = self._record(runtime={"backend": "dense"})
         current["speedups"]["64"]["packed_vs_float"] = 0.1
-        current["speedups"]["64"]["packed_v2_vs_packed"] = 30.0
         for row in current["results"]:
             if row["variant"] == "packed":
                 row["rows_per_s"] = 1.0
         strict = compare_inference_records(self._record(), current)
         assert strict["strict"] and not strict["regressions"]
-        assert strict["compared"] == 3 and "skipped" in strict["note"]
+        assert strict["compared"] == 2 and "skipped" in strict["note"]
         cross = self._record(machine={"cpu_count": 8})
         ratio = compare_inference_records(cross, current)
         assert not ratio["strict"] and not ratio["regressions"]
-        assert ratio["compared"] == 2  # packed_v2/packed_mt vs float only
+        assert ratio["compared"] == 1  # packed_mt vs float only

@@ -28,9 +28,9 @@ SEED = 1234
 CONV = ConvergencePolicy(max_epochs=4, patience=2)
 
 #: Every execution-runtime backend must reproduce the golden trajectories.
-#: Packed sign products are exact integers, so the packed backends are
+#: Packed sign products are exact integers, so the packed backend is
 #: bit-identical everywhere except the BINARY_BOTH dots (scale rounding).
-BACKENDS = ("dense", "packed", "packed_v2")
+BACKENDS = ("dense", "packed")
 
 
 @pytest.fixture(scope="module")
@@ -136,22 +136,26 @@ def test_partial_fit_stream_bit_identical(golden, data, backend):
 @pytest.mark.parametrize("rematerialize", (False, True))
 @pytest.mark.parametrize("cq", list(ClusterQuant))
 @pytest.mark.parametrize("pq", list(PredictQuant))
-def test_packed_v2_plan_matches_golden(golden, data, cq, pq, rematerialize):
-    """Compiled packed_v2 plans (stored and rematerialised) stay on the
+def test_packed_plan_matches_golden(golden, data, cq, pq, rematerialize):
+    """Compiled packed plans (stored and rematerialised) stay on the
     golden trajectory: plan predictions match the dense-reference golden
     to float rounding, and the rematerialised plan is bit-identical to
-    the stored-operand plan."""
+    the stored-operand plan.  Encode→pack fuses exactly when both heavy
+    stages run packed."""
     X, y, X_query = data
     model = MultiModelRegHD(4, multi_config(cq, pq))
     model.fit(X, y)
-    plan = model.compile(backend="packed_v2", rematerialize=rematerialize)
+    plan = model.compile(backend="packed", rematerialize=rematerialize)
     assert plan.rematerialized is rematerialize
+    assert plan.fused_encode is (
+        cq is not ClusterQuant.NONE and pq is PredictQuant.BINARY_BOTH
+    )
     expected = golden[f"multi_{cq.value}_{pq.value}"]
     np.testing.assert_allclose(
         plan.predict(X_query), expected, rtol=1e-9, atol=1e-10
     )
     if rematerialize:
-        stored = model.compile(backend="packed_v2")
+        stored = model.compile(backend="packed")
         np.testing.assert_array_equal(
             plan.predict(X_query), stored.predict(X_query)
         )

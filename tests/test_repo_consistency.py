@@ -216,11 +216,23 @@ def test_no_hypervector_mutation_outside_delta_protocol():
     )
 
 
-@pytest.mark.parametrize("name", ["dense", "packed", "packed_v2"])
+@pytest.mark.parametrize("name", ["dense", "packed"])
 def test_every_backend_registered(name):
     from repro.registry import BACKEND_REGISTRY
 
     assert name in BACKEND_REGISTRY
+
+
+def test_removed_backend_name_is_rejected():
+    """The second packed backend was folded into ``packed``; its name
+    gets the registry error listing the two registered backends."""
+    from repro import MultiModelRegHD, RegHDConfig
+    from repro.exceptions import ConfigurationError
+
+    with pytest.raises(
+        ConfigurationError, match=r"registered: \['dense', 'packed'\]"
+    ):
+        MultiModelRegHD(4, RegHDConfig(dim=64, backend="packed_v2"))
 
 
 @pytest.mark.parametrize(

@@ -363,7 +363,7 @@ class TestExporters:
         meta = telemetry.default_meta()
         assert meta["package_version"] == repro.__version__
         assert meta["runtime_version"] == RUNTIME_VERSION
-        assert meta["backend"] in ("dense", "packed", "packed_v2")
+        assert meta["backend"] in ("dense", "packed")
 
     def test_label_escaping(self):
         reg = MetricsRegistry()
