@@ -7,8 +7,9 @@ serving-shaped operands (many query rows × few model rows):
 * popcount — ``np.bitwise_count`` versus the uint8 LUT fallback;
 * ``_pairwise_popcount_xor`` — cache-blocked versus one monolithic
   block (the pre-v2 behaviour, forced via a huge block budget);
-* fused ``encode_pack_tile`` versus the unfused encode→norms→scales→
-  pack stage chain it replaces.
+* fused ``encode_pack_tile`` versus the unfused stage chain it replaces:
+  the estimator's encode → normalise, then the query's packed words and
+  scales.
 
 Writes ``benchmarks/results/packed_kernels.txt`` and, when the
 repo-root ``BENCH_inference.json`` exists, appends the numbers under a
@@ -26,17 +27,12 @@ import pytest
 
 from _common import save_result
 from repro.encoding.nonlinear import NonlinearEncoder
-from repro.engine.kernels import (
-    TileScratch,
-    encode_tile,
-    packed_query_words,
-    query_scales,
-    row_norms,
-)
 from repro.evaluation import render_table
+from repro.ops.normalize import normalize_rows
 from repro.runtime import (
     EncoderOperands,
     FusedScratch,
+    Query,
     encode_pack_tile,
     pack_sign_words,
 )
@@ -80,11 +76,9 @@ def kernel_rows():
 
         # One monolithic block: the pre-blocking behaviour, forced by a
         # budget larger than the whole (n, m, words) XOR temporary.
-        packing.set_popcount_block_kib(1 << 22)
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(packing, "POPCOUNT_BLOCK_BYTES", 1 << 32)
             t_unblocked = _time(blocked)
-        finally:
-            packing.set_popcount_block_kib(None)
 
         # LUT fallback for hosts without np.bitwise_count (numpy < 2).
         had_fast = packing._HAS_BITWISE_COUNT
@@ -124,16 +118,11 @@ def fused_rows():
         )
         X = rng.normal(size=(tile, features))
         fused_scratch = FusedScratch(tile, dim)
-        plain_scratch = TileScratch(tile, dim)
 
         def unfused():
-            S = encode_tile(
-                X, operands.bases, operands.phases, operands.scale,
-                plain_scratch,
-            )
-            norms = row_norms(S)
-            query_scales(S, norms, plain_scratch)
-            packed_query_words(S, plain_scratch)
+            query = Query(normalize_rows(enc.encode_batch(X)))
+            query.words
+            query.scales
 
         t_unfused = _time(unfused)
         t_fused = _time(lambda: encode_pack_tile(X, operands, fused_scratch))

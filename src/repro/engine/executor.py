@@ -1,15 +1,18 @@
 """Tiled, multi-threaded execution of a :class:`CompiledPlan`.
 
-A batch is cut into row tiles; every tile flows through the fused
-pipeline (encode → similarity → softmax → dot products → accumulate)
-entirely inside one preallocated :class:`~repro.engine.kernels.TileScratch`,
-so peak memory is ``n_workers`` scratch sets plus the output vector — a
-million-row batch costs no more transient memory than one tile per
-worker.
+A batch is cut into row tiles, and every tile runs the estimator's own
+query sequence — encode (Eq. 1), L2-normalise, wrap in a
+:class:`~repro.runtime.Query`, then the backend's similarity → softmax →
+dot products → accumulate — so peak memory is ``n_workers`` tiles'
+temporaries plus the output vector: a million-row batch costs no more
+transient memory than one tile per worker.  A plan given the whole batch
+as one tile predicts bit-identically to
+:meth:`MultiModelRegHD.predict <repro.core.multi.MultiModelRegHD.predict>`.
 
 Plans whose backend fuses encode→pack (``plan.fused_encode``) skip the
 float pipeline entirely: raw feature rows become packed ``uint64`` sign
-words plus per-row scales in one kernel, and the ``(tile, D)`` float
+words plus per-row scales in one kernel working in a preallocated
+:class:`~repro.runtime.FusedScratch`, and the ``(tile, D)`` float
 encoding is never materialised.
 
 Tiles write disjoint slices of the shared output array, so fanning them
@@ -31,15 +34,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.kernels import (
-    TileScratch,
-    encode_tile,
-    packed_query_words,
-    query_scales,
-    row_norms,
-    sign_matrix,
-)
-from repro.runtime import EncoderOperands, Query
+from repro.encoding.base import Encoder
+from repro.ops.normalize import normalize_rows
+from repro.runtime import EncoderOperands, FusedScratch, Query
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import timing as _timing
 from repro.telemetry import tracing as _tracing
@@ -62,8 +59,8 @@ def _worker_pool() -> ThreadPoolExecutor:
     """The persistent serving pool, created once per process.
 
     Sized at ``os.cpu_count()`` threads; per-call concurrency is bounded
-    by the scratch queue, not the pool size, so one pool serves every
-    plan regardless of its ``n_workers``.
+    by the per-call scratch queue, not the pool size, so one pool serves
+    every plan regardless of its ``n_workers``.
     """
     global _pool
     if _pool is None:
@@ -101,11 +98,11 @@ def _run_tile(
     lo: int,
     hi: int,
     out: FloatArray,
-    scratch: TileScratch,
-    enc: EncoderOperands | None,
+    scratch: FusedScratch | None,
+    enc: "Encoder | EncoderOperands",
     trace: "tuple | None" = None,
 ) -> None:
-    """Run one row tile through the fused pipeline into ``out[lo:hi]``.
+    """Run one row tile through the pipeline into ``out[lo:hi]``.
 
     ``trace`` is a captured ``(tracer, ctx)`` pair: contextvars do not
     propagate into the serving pool's threads, so :func:`execute_plan`
@@ -121,35 +118,13 @@ def _run_tile(
 
     if plan.fused_encode:
         # Fused encode→pack: raw rows straight to packed words + scales,
-        # no float hypervector batch.  Exactly the stages a fully-packed
-        # plan consumes (needs_normalized and needs_signs are False).
-        words, q_scales = plan.backend.encode_pack(X_tile, enc, scratch.fused)
+        # no float hypervector batch — all a fully-packed plan consumes.
+        words, q_scales = plan.backend.encode_pack(X_tile, enc, scratch)
         query = Query(None, words=words, scales=q_scales)
-        signs = None
     else:
-        # 1. Encode (Eq. 1), fused into the scratch buffers when the plan
-        #    carries a projection snapshot.
-        if enc is not None:
-            S = encode_tile(
-                X_tile, enc.bases, enc.phases, enc.scale, scratch
-            )
-        else:
-            S = np.asarray(plan.encoder.encode_batch(X_tile), dtype=np.float64)
-        norms = row_norms(S)
-
-        # 2. Raw-encoding derivatives, before S is normalised in place:
-        #    sign bits / words and the binary-query scale are all invariant
-        #    to the positive row normalisation.
-        q_scales = (
-            query_scales(S, norms, scratch)
-            if plan.predict_quant.query_is_binary
-            else None
-        )
-        words = packed_query_words(S, scratch) if plan.needs_words else None
-        signs = sign_matrix(S, scratch) if plan.needs_signs else None
-        if plan.needs_normalized:
-            np.divide(S, norms[:, np.newaxis], out=S)
-        query = Query(S, signs=signs, words=words, scales=q_scales)
+        # The estimator's query (Sec. 3): encode (Eq. 1), L2-normalise;
+        # signs, words, scales and the binarised copy derive lazily.
+        query = Query(normalize_rows(enc.encode_batch(X_tile)))
     if registry is not None:
         t1 = _timing.monotonic()
         registry.histogram(
@@ -159,8 +134,8 @@ def _run_tile(
             trace[0].record_stage(trace[1], "tile/encode", t0, t1, rows=hi - lo)
         t0 = t1
 
-    # 3. Cluster similarities (Eq. 5) and softmax confidences, dispatched
-    #    through the plan's kernel backend over the scratch-derived query.
+    # Cluster similarities (Eq. 5) and softmax confidences, dispatched
+    # through the plan's kernel backend.
     backend = plan.backend
     sims = backend.cluster_similarities(query, plan.cluster_op)
     conf = backend.confidences(sims, plan.softmax_temp)
@@ -173,16 +148,9 @@ def _run_tile(
             trace[0].record_stage(trace[1], "tile/search", t0, t1, rows=hi - lo)
         t0 = t1
 
-    # 4. Model dot products (Eq. 6 under the Sec.-3.2 scheme).  The
-    #    binarised queries are built in place in the sign buffer — only
-    #    after the similarities above are done reading it.
-    if plan.predict_quant.query_is_binary and not plan.packed_dots:
-        query._binarized = np.multiply(
-            signs, q_scales[:, np.newaxis], out=signs
-        )
+    # Model dot products (Eq. 6 under the Sec.-3.2 scheme), then the
+    # confidence-weighted accumulation mapped back to target units.
     dots = backend.model_dots(query, plan.model_op)
-
-    # 5. Confidence-weighted accumulation, mapped back to target units.
     y = backend.weighted_prediction(conf, dots)
     np.multiply(y, plan.y_scale, out=y)
     np.add(y, plan.y_mean, out=y)
@@ -217,9 +185,9 @@ def execute_plan(
     spans = [
         (lo, min(lo + tile_rows, n)) for lo in range(0, n, tile_rows)
     ]
-    # Rematerialised plans regenerate the projection here — once per
-    # call, shared read-only by every tile.
-    enc = plan.encoder_operands()
+    # Rematerialised plans regenerate the encoder here — once per call,
+    # shared read-only by every tile.
+    enc = plan.call_encoder()
     workers = _effective_workers(n_workers, len(spans), n, plan.dim)
 
     # Snapshot the open trace once; worker threads receive it by value
@@ -228,21 +196,21 @@ def execute_plan(
     ctx = _tracing.current() if tracer is not None else None
     trace = (tracer, ctx) if ctx is not None else None
 
+    def _scratch(rows: int) -> FusedScratch | None:
+        return FusedScratch(rows, plan.dim) if plan.fused_encode else None
+
     if workers == 1:
-        scratch = TileScratch(
-            min(tile_rows, n), plan.dim, fused=plan.fused_encode
-        )
+        scratch = _scratch(min(tile_rows, n))
         for lo, hi in spans:
             _run_tile(plan, X, lo, hi, out, scratch, enc, trace)
         return out
 
-    # One scratch set per worker, recycled through a queue; tiles write
-    # disjoint output slices so no further synchronisation is needed.
-    scratch_pool: queue.SimpleQueue[TileScratch] = queue.SimpleQueue()
+    # One scratch slot per worker, recycled through a queue (it also caps
+    # this call's concurrency at ``workers``); tiles write disjoint output
+    # slices so no further synchronisation is needed.
+    scratch_pool: queue.SimpleQueue[FusedScratch | None] = queue.SimpleQueue()
     for _ in range(workers):
-        scratch_pool.put(
-            TileScratch(tile_rows, plan.dim, fused=plan.fused_encode)
-        )
+        scratch_pool.put(_scratch(tile_rows))
 
     def _job(span: tuple[int, int]) -> None:
         scratch = scratch_pool.get()

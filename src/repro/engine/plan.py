@@ -24,6 +24,7 @@ recompiling the whole plan after every absorbed batch.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field
 
@@ -114,11 +115,21 @@ class RefreshStats(dict):
             self[key] = 0
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """A contiguous, read-only float64/uint64-preserving copy."""
-    out = np.ascontiguousarray(np.array(array, copy=True))
-    out.flags.writeable = False
-    return out
+def _encoder_arrays(encoder: Encoder) -> list[np.ndarray]:
+    """The array attributes of an encoder (its projection state)."""
+    return [v for v in vars(encoder).values() if isinstance(v, np.ndarray)]
+
+
+def _snapshot_encoder(encoder: Encoder) -> Encoder:
+    """A private deep copy of ``encoder`` with read-only arrays.
+
+    The plan encodes through the estimator's own ``encode_batch``, but on
+    this copy: it shares no array with the model and cannot write one.
+    """
+    snapshot = copy.deepcopy(encoder)
+    for arr in _encoder_arrays(snapshot):
+        arr.flags.writeable = False
+    return snapshot
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -138,9 +149,7 @@ class CompiledPlan:
     :class:`~repro.runtime.FrozenModelOperand`); which representation
     each carries depends on the quantisation scheme and the compiled
     backend — full-precision matrices, a float sign matrix, or bit-packed
-    ``uint64`` words.  The flat ``cluster_matT`` / ``cluster_words`` /
-    ``model_matT`` / … accessors expose them under their historical
-    names.
+    ``uint64`` words.
     """
 
     in_features: int
@@ -161,56 +170,22 @@ class CompiledPlan:
     cluster_op: FrozenClusterOperand
     #: frozen model dot-product operands (Eq. 6 under the Sec.-3.2 scheme)
     model_op: FrozenModelOperand
-    # encoder snapshot (fast fused path) or opaque fallback encoder
-    enc_bases: FloatArray | None = field(default=None)
-    enc_phases: FloatArray | None = field(default=None)
-    enc_scale: float = 1.0
+    #: read-only snapshot of the model's encoder (None when rematerialised)
     encoder: Encoder | None = field(default=None)
-    #: precomputed ``sin(phases)`` for the fused single-trig encode
-    enc_sin_phases: FloatArray | None = field(default=None)
-    #: seed provenance replacing the stored projection (rematerialize=True)
+    #: seed provenance replacing the stored encoder (rematerialize=True)
     enc_spec: "EncoderSpec | None" = field(default=None)
     #: whether serving runs the fused encode→pack pipeline
     fused_encode: bool = field(default=False)
+    #: fused projection operands of the stored encoder, ``sin(φ)`` included
+    _fused_ops: EncoderOperands | None = field(init=False, default=None)
     #: refresh machinery: source-model weakref, operand trackers, stats
     _refresh: dict = field(init=False, default_factory=dict)
 
-    # -- historical flat operand accessors ---------------------------------
-
-    @property
-    def cluster_matT(self) -> FloatArray | None:
-        """Full-precision clusters, transposed (cosine search only)."""
-        return self.cluster_op.matT
-
-    @property
-    def cluster_norms(self) -> FloatArray | None:
-        """Cluster row norms for the cosine search."""
-        return self.cluster_op.norms
-
-    @property
-    def cluster_signsT(self) -> FloatArray | None:
-        """±1 cluster sign matrix, transposed (float sign search)."""
-        return self.cluster_op.signsT
-
-    @property
-    def cluster_words(self) -> np.ndarray | None:
-        """Bit-packed cluster sign words (packed Hamming search)."""
-        return self.cluster_op.words
-
-    @property
-    def model_matT(self) -> FloatArray | None:
-        """Effective model matrix, transposed (float dot products)."""
-        return self.model_op.matT
-
-    @property
-    def model_words(self) -> np.ndarray | None:
-        """Bit-packed model sign words (fully-binary dot products)."""
-        return self.model_op.words
-
-    @property
-    def model_scales(self) -> FloatArray | None:
-        """Per-model binarisation scales for the packed dot products."""
-        return self.model_op.scales
+    def __post_init__(self) -> None:
+        if self.fused_encode and self.encoder is not None:
+            ops = EncoderOperands.of(self.encoder)
+            ops.sin_phases.flags.writeable = False
+            object.__setattr__(self, "_fused_ops", ops)
 
     @property
     def backend_name(self) -> str:
@@ -220,36 +195,6 @@ class CompiledPlan:
     @property
     def packed(self) -> bool:
         """Whether any stage of this plan runs on packed words."""
-        return self.packed_sims or self.packed_dots
-
-    @property
-    def needs_normalized(self) -> bool:
-        """Whether the pipeline must materialise the normalised encoding.
-
-        Fully sign-based stages (packed or float sign search, binary
-        queries) are invariant to the positive per-row normalisation, so
-        the ``(tile, D)`` division is skipped unless a full-precision
-        stage consumes the normalised rows.
-        """
-        return (
-            self.cluster_quant is ClusterQuant.NONE
-            or not self.predict_quant.query_is_binary
-        )
-
-    @property
-    def needs_signs(self) -> bool:
-        """Whether a float ±1 sign matrix of the queries is required."""
-        unpacked_sign_search = (
-            self.cluster_quant is not ClusterQuant.NONE and not self.packed_sims
-        )
-        unpacked_binary_query = (
-            self.predict_quant.query_is_binary and not self.packed_dots
-        )
-        return unpacked_sign_search or unpacked_binary_query
-
-    @property
-    def needs_words(self) -> bool:
-        """Whether the queries are packed into uint64 sign words."""
         return self.packed_sims or self.packed_dots
 
     @property
@@ -265,39 +210,29 @@ class CompiledPlan:
         drops to the cluster/model operands plus scalars — the memory
         the ``rematerialize=True`` trade actually saves.
         """
-        total = 0
-        for arr in (self.enc_bases, self.enc_phases, self.enc_sin_phases):
-            if arr is not None:
-                total += arr.nbytes
-        for arr in self.cluster_op.arrays + self.model_op.arrays:
-            total += arr.nbytes
-        return total
+        arrays = self.cluster_op.arrays + self.model_op.arrays
+        if self.encoder is not None:
+            arrays += tuple(_encoder_arrays(self.encoder))
+        if self._fused_ops is not None:
+            arrays += (self._fused_ops.sin_phases,)
+        return sum(arr.nbytes for arr in arrays)
 
-    def encoder_operands(self) -> EncoderOperands | None:
-        """Projection operands for this predict call, stored or re-drawn.
+    def call_encoder(self) -> "Encoder | EncoderOperands":
+        """What every tile of one predict call encodes with.
 
-        Returns ``None`` for plans serving an opaque fallback encoder.
-        Rematerialised plans regenerate bases/phases from
-        :class:`EncoderSpec` here — once per :func:`execute_plan` call,
-        shared by every tile, dropped afterwards.
+        Unfused plans get the encoder snapshot (its own ``encode_batch``);
+        fused plans get the projection operands of the fused kernel.
+        Rematerialised plans re-draw the encoder from :class:`EncoderSpec`
+        here — once per :func:`execute_plan` call, shared by every tile,
+        dropped afterwards.
         """
-        if self.enc_bases is not None:
-            return EncoderOperands(
-                self.enc_bases,
-                self.enc_phases,
-                self.enc_scale,
-                self.enc_sin_phases,
-            )
         if self.enc_spec is None:
-            return None
+            return self._fused_ops if self.fused_encode else self.encoder
         encoder = self.enc_spec.materialize()
         registry = _metrics.active()
         if registry is not None:
             registry.counter("reghd_plan_rematerializations_total").inc()
-        bases = np.asarray(encoder.bases)
-        phases = np.asarray(encoder.phases)
-        sin_phases = np.sin(phases) if self.fused_encode else None
-        return EncoderOperands(bases, phases, self.enc_scale, sin_phases)
+        return EncoderOperands.of(encoder) if self.fused_encode else encoder
 
     # -- incremental refresh ------------------------------------------------
 
@@ -425,19 +360,23 @@ class CompiledPlan:
 def auto_tile_rows(
     dim: int, budget_bytes: int = 24 << 20, *, fused: bool = False
 ) -> int:
-    """Tile height whose scratch set fits the budget.
+    """Tile height whose working set fits the budget.
 
-    Unfused tiles hold ~17 bytes per element of the full ``(rows, dim)``
-    slab set.  Fused tiles only hold block-wide slabs plus the packed
-    words, so the same budget buys far taller tiles — fewer per-tile
-    dispatches for the same peak memory.
+    An unfused tile holds at most three float64 ``(rows, dim)`` slabs at
+    once — while encoding and normalising, and again when a binary query
+    holds ``S``, its signs and the binarised copy: tracemalloc peaks of
+    24.0–24.2 bytes per element over every quant combo on both backends
+    (512×4096 tiles), budgeted as 25.
+    Fused tiles only hold block-wide slabs plus the packed words, so the
+    same budget buys far taller tiles — fewer per-tile dispatches for the
+    same peak memory.
     """
     if fused:
         from repro.runtime import fused_block_cols
 
         per_row = 17 * fused_block_cols(dim) + max(8, dim // 8)
     else:
-        per_row = 17 * max(1, dim)
+        per_row = 25 * max(1, dim)
     rows = budget_bytes // per_row
     return int(min(4096, max(64, rows)))
 
@@ -484,13 +423,13 @@ def compile_model(
         automatic choice: packed exactly where a stage benefits from it.
     tile_rows:
         Rows per execution tile.  ``None`` sizes tiles so one worker's
-        scratch stays near 24 MiB (:func:`auto_tile_rows`).
+        working set stays near 24 MiB (:func:`auto_tile_rows`).
     n_workers:
         Default thread count for :meth:`CompiledPlan.predict`.  ``1``
-        runs the single-threaded fallback loop with one scratch set.
+        runs the single-threaded fallback loop.
     rematerialize:
-        Store the encoder's *seed provenance* instead of its projection
-        matrix: :meth:`CompiledPlan.encoder_operands` then re-draws
+        Store the encoder's *seed provenance* instead of its snapshot:
+        :meth:`CompiledPlan.call_encoder` then re-draws
         bit-identical bases/phases from the seeded RNG per predict call,
         shrinking the resident plan by the ``(in_features, D)`` + two
         ``(D,)`` arrays.  Requires a :class:`NonlinearEncoder` built from
@@ -520,54 +459,45 @@ def compile_model(
     packed_sims = runtime.packs_similarities(cfg.cluster_quant)
     packed_dots = runtime.packs_dots(cfg.predict_quant)
 
-    # Encoder snapshot: the fused tile kernel needs the projection
-    # operands; other encoder types fall back to their encode_batch.
-    enc_bases = enc_phases = enc_sin_phases = None
-    enc_scale = 1.0
+    # Fuse encode→pack exactly when every heavy stage runs packed and
+    # the encoder is the Eq.-1 one the fused kernel implements.
+    fused_encode = (
+        type(model.encoder) is NonlinearEncoder and packed_sims and packed_dots
+    )
     encoder: Encoder | None = None
     enc_spec: EncoderSpec | None = None
-    fused_encode = False
-    if type(model.encoder) is NonlinearEncoder:
-        enc_scale = float(model.encoder.scale)
-        # Fuse encode→pack exactly when every heavy stage runs packed.
-        fused_encode = packed_sims and packed_dots
-        if rematerialize:
-            if cfg.seed is None:
-                raise ConfigurationError(
-                    "rematerialize=True requires a configured integer seed; "
-                    "an unseeded encoder cannot be re-drawn"
-                )
-            enc_spec = EncoderSpec(
-                in_features=model.in_features,
-                dim=cfg.dim,
-                seed=int(cfg.seed),
-                base=cfg.encoder_base,
-                scale=cfg.encoder_scale,
-            )
-            regenerated = enc_spec.materialize()
-            if not (
-                np.array_equal(regenerated.bases, model.encoder.bases)
-                and np.array_equal(regenerated.phases, model.encoder.phases)
-                and float(regenerated.scale) == enc_scale
-            ):
-                raise ConfigurationError(
-                    "rematerialize=True: regenerating the encoder from "
-                    "the configured seed did not reproduce the live "
-                    "projection (the encoder was not built by this "
-                    "model's constructor)"
-                )
-        else:
-            enc_bases = _frozen(model.encoder.bases)
-            enc_phases = _frozen(model.encoder.phases)
-            if fused_encode:
-                enc_sin_phases = _frozen(np.sin(model.encoder.phases))
-    else:
-        if rematerialize:
+    if rematerialize:
+        if type(model.encoder) is not NonlinearEncoder:
             raise ConfigurationError(
                 "rematerialize=True requires a NonlinearEncoder, got "
                 f"{type(model.encoder).__name__}"
             )
-        encoder = model.encoder
+        if cfg.seed is None:
+            raise ConfigurationError(
+                "rematerialize=True requires a configured integer seed; "
+                "an unseeded encoder cannot be re-drawn"
+            )
+        enc_spec = EncoderSpec(
+            in_features=model.in_features,
+            dim=cfg.dim,
+            seed=int(cfg.seed),
+            base=cfg.encoder_base,
+            scale=cfg.encoder_scale,
+        )
+        regenerated = enc_spec.materialize()
+        if not (
+            np.array_equal(regenerated.bases, model.encoder.bases)
+            and np.array_equal(regenerated.phases, model.encoder.phases)
+            and float(regenerated.scale) == float(model.encoder.scale)
+        ):
+            raise ConfigurationError(
+                "rematerialize=True: regenerating the encoder from "
+                "the configured seed did not reproduce the live "
+                "projection (the encoder was not built by this "
+                "model's constructor)"
+            )
+    else:
+        encoder = _snapshot_encoder(model.encoder)
 
     if tile_rows is None:
         tile_rows = auto_tile_rows(cfg.dim, fused=fused_encode)
@@ -597,11 +527,7 @@ def compile_model(
         backend=runtime,
         cluster_op=cluster_op,
         model_op=model_op,
-        enc_bases=enc_bases,
-        enc_phases=enc_phases,
-        enc_scale=enc_scale,
         encoder=encoder,
-        enc_sin_phases=enc_sin_phases,
         enc_spec=enc_spec,
         fused_encode=fused_encode,
     )

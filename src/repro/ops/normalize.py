@@ -7,7 +7,7 @@ softmax the cluster similarities into per-cluster confidences (Fig. 4).
 These used to live as private clones in each model class; this module is
 now the single definition both the training path
 (:mod:`repro.core`) and the compiled inference engine
-(:mod:`repro.engine.kernels`) consume, so the two paths stay bit-exact
+(:mod:`repro.engine.executor`) consume, so the two paths stay bit-exact
 by construction.
 """
 

@@ -37,8 +37,6 @@ from repro.runtime.packing import (
     packed_hamming_distance,
     packed_hamming_similarity,
     packed_sign_products,
-    popcount_block_bytes,
-    set_popcount_block_kib,
     unpack_bits,
 )
 from repro.runtime.fused import (
@@ -46,7 +44,6 @@ from repro.runtime.fused import (
     FusedScratch,
     encode_pack_tile,
     fused_block_cols,
-    set_fused_block_cols,
 )
 from repro.runtime.query import Query, QueryCache
 from repro.runtime.operands import (
@@ -82,9 +79,6 @@ __all__ = [
     "FusedScratch",
     "encode_pack_tile",
     "fused_block_cols",
-    "set_fused_block_cols",
-    "popcount_block_bytes",
-    "set_popcount_block_kib",
     "ClusterQuant",
     "PredictQuant",
     "DualCopy",

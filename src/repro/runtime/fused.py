@@ -26,16 +26,13 @@ Two things make the fused path faster than encode-then-pack:
   and the sign-bit packing consume each block while it is cache-hot,
   instead of re-streaming a multi-megabyte tile once per derivation.
 
-The block width is derived from ``D`` (a multiple of 64 so each block
-lands on packed-word boundaries), overridable through
-:func:`set_fused_block_cols` or the ``REPRO_FUSED_BLOCK_COLS``
-environment variable, and exported as the ``reghd_fused_block_cols``
-telemetry gauge.
+The block width is :data:`FUSED_BLOCK_COLS` clipped to ``D`` (a multiple
+of 64 so each block lands on packed-word boundaries), exported as the
+``reghd_fused_block_cols`` telemetry gauge.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -45,67 +42,42 @@ from repro.types import FloatArray
 
 __all__ = [
     "EncoderOperands",
-    "FUSED_BLOCK_ENV_VAR",
+    "FUSED_BLOCK_COLS",
     "FusedScratch",
     "encode_pack_tile",
     "fused_block_cols",
-    "set_fused_block_cols",
 ]
 
-#: environment override for the fused-encode column block width.
-FUSED_BLOCK_ENV_VAR = "REPRO_FUSED_BLOCK_COLS"
-
-#: default block width: wide enough that the BLAS projection per block
-#: amortises, narrow enough that the three (tile, block) slabs stay near
-#: cache while the reductions and the bit packer consume them.
-_DEFAULT_BLOCK_COLS = 1024
-
-_fused_block_cols: int | None = None
-
-
-def set_fused_block_cols(cols: int | None) -> None:
-    """Pin the fused-encode block width; ``None`` restores the default /
-    environment-variable resolution.  Values round up to a multiple of 64
-    so blocks always align with packed uint64 word boundaries."""
-    if cols is not None and int(cols) < 1:
-        raise ValueError(f"block width must be >= 1, got {cols}")
-    global _fused_block_cols
-    _fused_block_cols = None if cols is None else -(-int(cols) // 64) * 64
+#: column block width (a multiple of 64): wide enough that the BLAS
+#: projection per block amortises, narrow enough that the three
+#: (tile, block) slabs stay near cache while the reductions and the bit
+#: packer consume them.
+FUSED_BLOCK_COLS = 1024
 
 
 def fused_block_cols(dim: int) -> int:
-    """Column block width for a fused encode over ``dim`` dimensions.
-
-    A multiple of 64 (so per-block ``packbits`` output lands on uint64
-    word boundaries), never wider than the padded ``dim``.
-    """
-    padded = -(-int(dim) // 64) * 64
-    cols = _fused_block_cols
-    if cols is None:
-        env = os.environ.get(FUSED_BLOCK_ENV_VAR)
-        if env:
-            try:
-                cols = -(-int(env) // 64) * 64
-            except ValueError:
-                cols = None
-            if cols is not None and cols < 64:
-                cols = None
-        if cols is None:
-            cols = _DEFAULT_BLOCK_COLS
-    return max(64, min(cols, padded))
+    """Column block width for a fused encode over ``dim`` dimensions:
+    :data:`FUSED_BLOCK_COLS`, never wider than ``dim`` padded to 64."""
+    return min(FUSED_BLOCK_COLS, -(-int(dim) // 64) * 64)
 
 
 class EncoderOperands(NamedTuple):
-    """Projection operands of one nonlinear encoder, plan- or call-scoped.
-
-    ``sin_phases`` (``sin(φ)``, precomputed once) is only consumed by the
-    fused single-trig pipeline; plans that encode unfused carry ``None``.
-    """
+    """Projection operands of one nonlinear encoder, plan- or call-scoped,
+    with ``sin(φ)`` precomputed for the single-trig encode."""
 
     bases: FloatArray
     phases: FloatArray
     scale: float
-    sin_phases: FloatArray | None = None
+    sin_phases: FloatArray
+
+    @classmethod
+    def of(cls, encoder) -> "EncoderOperands":
+        """The operands of a :class:`~repro.encoding.NonlinearEncoder`
+        (views of its arrays plus a fresh ``sin(φ)``)."""
+        phases = np.asarray(encoder.phases)
+        return cls(
+            np.asarray(encoder.bases), phases, float(encoder.scale), np.sin(phases)
+        )
 
 
 class FusedScratch:

@@ -17,10 +17,8 @@ the runtime.
 All pairwise kernels run over *cache blocks* of both operands so that
 the operand tiles and the XOR temporary stay L2-resident regardless of
 batch size — a ``(n, m, words)`` XOR broadcast is never materialised in
-full.  The block shape is derived from the operand word width against a
-byte budget (:func:`popcount_block_bytes`), overridable through
-:func:`set_popcount_block_kib` or the ``REPRO_POPCOUNT_BLOCK_KIB``
-environment variable; the chosen shape is exported as the
+full.  The block shape is derived from the operand word width against the
+:data:`POPCOUNT_BLOCK_BYTES` budget; the chosen shape is exported as the
 ``reghd_popcount_block_rows`` / ``reghd_popcount_block_cols`` telemetry
 gauges.
 """
@@ -28,7 +26,6 @@ gauges.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -45,38 +42,10 @@ _POPCOUNT_TABLE = np.array(
 #: available; the byte-table lookup exists solely as a fallback.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
-#: environment override for the pairwise-kernel block budget (KiB).
-POPCOUNT_BLOCK_ENV_VAR = "REPRO_POPCOUNT_BLOCK_KIB"
-
-#: default XOR-temporary budget: half a typical per-core L2 slice, so the
-#: two operand tiles and the popcount scratch fit alongside it.
-_DEFAULT_POPCOUNT_BLOCK_KIB = 512
-
-_popcount_block_kib: int | None = None
-
-
-def set_popcount_block_kib(kib: int | None) -> None:
-    """Pin the pairwise-kernel block budget (KiB); ``None`` restores the
-    default / environment-variable resolution."""
-    if kib is not None and int(kib) < 1:
-        raise ValueError(f"block budget must be >= 1 KiB, got {kib}")
-    global _popcount_block_kib
-    _popcount_block_kib = None if kib is None else int(kib)
-
-
-def popcount_block_bytes() -> int:
-    """Resolved XOR-temporary budget: explicit pin > env var > default."""
-    if _popcount_block_kib is not None:
-        return _popcount_block_kib << 10
-    env = os.environ.get(POPCOUNT_BLOCK_ENV_VAR)
-    if env:
-        try:
-            kib = int(env)
-        except ValueError:
-            kib = 0
-        if kib >= 1:
-            return kib << 10
-    return _DEFAULT_POPCOUNT_BLOCK_KIB << 10
+#: XOR-temporary budget of the pairwise kernels: half a typical per-core
+#: L2 slice, so the two operand tiles and the popcount scratch fit
+#: alongside it.
+POPCOUNT_BLOCK_BYTES = 512 << 10
 
 
 def _block_shape(n: int, m: int, words: int, itemsize: int) -> tuple[int, int]:
@@ -86,7 +55,7 @@ def _block_shape(n: int, m: int, words: int, itemsize: int) -> tuple[int, int]:
     whose temporary fits the byte budget, so both operand tiles and the
     XOR scratch stay resident while each block is reduced.
     """
-    budget = max(1, popcount_block_bytes() // max(1, words * itemsize))
+    budget = max(1, POPCOUNT_BLOCK_BYTES // max(1, words * itemsize))
     cols = min(m, max(1, int(math.sqrt(budget))))
     rows = min(n, max(1, budget // cols))
     return rows, cols
@@ -177,14 +146,12 @@ def _as_words(packed: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
-def pack_sign_words(values: ArrayLike, *, out_bits: np.ndarray | None = None) -> np.ndarray:
+def pack_sign_words(values: ArrayLike) -> np.ndarray:
     """Pack the sign pattern of float rows into uint64 words.
 
     The bit convention matches :func:`repro.ops.quantize.bipolarize`: bit
     ``1`` where the value is ``>= 0`` (exact ties map to +1), bit ``0``
-    where negative.  ``out_bits`` may supply a preallocated boolean
-    ``(n, dim)`` scratch buffer so hot loops avoid the comparison
-    temporary.
+    where negative.
 
     Returns a ``(n, ceil(dim / 64))`` uint64 array whose padding bits are
     zero (they cancel in XOR between two packed operands).
@@ -194,11 +161,7 @@ def pack_sign_words(values: ArrayLike, *, out_bits: np.ndarray | None = None) ->
         raise DimensionalityError(
             f"pack_sign_words expects 2-D input, got shape {arr.shape}"
         )
-    if out_bits is not None:
-        bits = np.greater_equal(arr, 0, out=out_bits[: arr.shape[0]])
-    else:
-        bits = arr >= 0
-    return _as_words(np.packbits(bits, axis=1))
+    return _as_words(np.packbits(arr >= 0, axis=1))
 
 
 def _pairwise_popcount_xor(

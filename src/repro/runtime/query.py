@@ -3,9 +3,10 @@
 A :class:`Query` wraps one batch of encoded hypervectors ``S`` together
 with the derived representations the kernels may need — the ±1 sign
 pattern, the bit-packed uint64 words, the per-row binarisation scales and
-the scale-preserving binarised matrix.  Derivations are lazy and cached,
-so a dense backend that only reads ``S`` never pays for packing, while
-the packed backend computes words exactly once per batch.
+the scale-preserving binarised matrix.  Derivations are lazy (signs,
+words and scales cached), so a dense backend that only reads ``S`` never
+pays for packing, while the packed backend computes words exactly once
+per batch.
 
 :class:`QueryCache` extends that reuse across a whole training run: the
 trainer presents the same encoded matrix ``S`` every epoch, so its packed
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.quantization import binarize_preserving_scale
 from repro.ops.quantize import bipolarize
 from repro.runtime.packing import pack_sign_words
 from repro.types import FloatArray
@@ -29,32 +29,29 @@ class Query:
     Parameters
     ----------
     S:
-        The ``(n, D)`` encoded (and, in training, row-normalised) batch.
-        May be ``None`` for fully-packed serving queries built by the
-        fused encode→pack pipeline — those carry ``words``/``scales``
-        directly and no kernel on that path reads the float batch.
-    signs, words, scales, binarized:
-        Optional precomputed derivations.  The serving executor passes
-        these in (it derives them into scratch buffers with its own
-        normalisation pipeline); training queries derive them on demand.
+        The ``(n, D)`` encoded, row-normalised batch.  May be ``None``
+        for fully-packed serving queries built by the fused encode→pack
+        pipeline — those carry ``words``/``scales`` directly and no
+        kernel on that path reads the float batch.
+    words, scales:
+        Optional precomputed packed words and scales (the fused pipeline
+        and the training :class:`QueryCache`); derived on demand
+        otherwise.
     """
 
-    __slots__ = ("S", "_signs", "_words", "_scales", "_binarized")
+    __slots__ = ("S", "_signs", "_words", "_scales")
 
     def __init__(
         self,
         S: FloatArray | None,
         *,
-        signs: FloatArray | None = None,
         words: np.ndarray | None = None,
         scales: FloatArray | None = None,
-        binarized: FloatArray | None = None,
     ):
         self.S = S
-        self._signs = signs
+        self._signs = None
         self._words = words
         self._scales = scales
-        self._binarized = binarized
 
     def _require_S(self, derived: str) -> FloatArray:
         if self.S is None:
@@ -88,12 +85,17 @@ class Query:
 
     @property
     def binarized(self) -> FloatArray:
-        """Scale-preserving binarised queries, ``sign(S) * mean(|S|)``."""
-        if self._binarized is None:
-            self._binarized = binarize_preserving_scale(
-                self._require_S("binarized")
-            )
-        return self._binarized
+        """Scale-preserving binarised queries, ``sign(S) * mean(|S|)``.
+
+        Built on each access from the cached :attr:`signs` and
+        :attr:`scales` (its one consumer, the dense model dots, reads it
+        once per batch); zero-scale rows stay zero, as in
+        :func:`~repro.runtime.quantization.binarize_preserving_scale`.
+        """
+        scales = self.scales
+        out = self.signs * scales[:, np.newaxis]
+        out[scales == 0.0] = 0.0
+        return out
 
 
 class QueryCache:

@@ -10,11 +10,12 @@ The backend-dispatch contract of the ISSUE-4 refactor:
   bit-identical to it on a zero target;
 * :class:`PackedWordsCache` incremental re-packing is indistinguishable
   from packing from scratch, and its counters account for every row;
-* :class:`Query` yields identical derivations whether operands are
-  precomputed (serving) or derived lazily (training).
+* :class:`Query` yields identical derivations whether words and scales
+  are precomputed (fused serving, training cache) or derived lazily.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,10 +155,8 @@ class TestQueryConsistency:
         lazy = Query(S)
         served = Query(
             S,
-            signs=lazy.signs.copy(),
             words=lazy.words.copy(),
             scales=lazy.scales.copy(),
-            binarized=lazy.binarized.copy(),
         )
         np.testing.assert_array_equal(served.signs, lazy.signs)
         np.testing.assert_array_equal(served.words, lazy.words)
@@ -189,13 +188,11 @@ class TestCacheBlockedPopcount:
         signs_a = np.where(A >= 0, 1, -1)
         signs_b = np.where(B >= 0, 1, -1)
         naive = (dim - signs_a @ signs_b.T) // 2  # exact Hamming counts
-        packing.set_popcount_block_kib(block_kib)
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(packing, "POPCOUNT_BLOCK_BYTES", block_kib << 10)
             got = packing._pairwise_popcount_xor(
                 pack_sign_words(A), pack_sign_words(B)
             )
-        finally:
-            packing.set_popcount_block_kib(None)
         np.testing.assert_array_equal(got, naive)
 
     @given(
@@ -241,7 +238,7 @@ class TestFusedEncodePack:
             EncoderOperands,
             FusedScratch,
             encode_pack_tile,
-            set_fused_block_cols,
+            fused,
         )
 
         rng = np.random.default_rng(seed)
@@ -253,13 +250,11 @@ class TestFusedEncodePack:
             np.sin(enc.phases),
         )
         X = rng.normal(size=(n, features))
-        set_fused_block_cols(block_cols)
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fused, "FUSED_BLOCK_COLS", block_cols)
             words, scales = encode_pack_tile(
                 X, operands, FusedScratch(n, dim)
             )
-        finally:
-            set_fused_block_cols(None)
         S = enc.encode_batch(X)
         np.testing.assert_array_equal(words, pack_sign_words(S))
         norms = np.maximum(np.linalg.norm(S, axis=1), 1e-12)

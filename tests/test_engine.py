@@ -16,7 +16,6 @@ from repro.engine import (
     compare_inference_records,
     run_inference_benchmark,
 )
-from repro.engine.kernels import TileScratch
 from repro.exceptions import (
     ConfigurationError,
     EncodingError,
@@ -35,7 +34,9 @@ def _task(seed=0, n=120, d=5):
     return X, y
 
 
-def _fitted(cq=ClusterQuant.FRAMEWORK, pq=PredictQuant.BINARY_BOTH, dim=128):
+def _fitted(
+    cq=ClusterQuant.FRAMEWORK, pq=PredictQuant.BINARY_BOTH, dim=128, backend=None
+):
     X, y = _task()
     cfg = RegHDConfig(
         dim=dim,
@@ -44,6 +45,7 @@ def _fitted(cq=ClusterQuant.FRAMEWORK, pq=PredictQuant.BINARY_BOTH, dim=128):
         convergence=CONV,
         cluster_quant=cq,
         predict_quant=pq,
+        backend=backend,
     )
     return MultiModelRegHD(5, cfg).fit(X, y)
 
@@ -77,7 +79,9 @@ class TestCompile:
 
     def test_operands_are_read_only(self):
         plan = _fitted().compile(backend="packed")
-        for arr in (plan.cluster_words, plan.model_words, plan.model_scales):
+        for arr in (
+            plan.cluster_op.words, plan.model_op.words, plan.model_op.scales
+        ):
             assert arr is not None
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -96,12 +100,30 @@ class TestCompile:
         assert "packed-sims" in repr(plan) and "packed-dots" in repr(plan)
         assert plan.nbytes > 0
         # Packed cluster operands are 64x smaller than their float form.
-        assert plan.cluster_words.nbytes * 8 <= plan.dim * plan.n_models
+        assert plan.cluster_op.words.nbytes * 8 <= plan.dim * plan.n_models
 
     def test_auto_tile_rows_bounds(self):
         assert auto_tile_rows(10) == 4096
         assert auto_tile_rows(10_000_000) == 64
         assert 64 <= auto_tile_rows(4000) <= 4096
+
+    def test_default_tiles_peak_within_budget(self):
+        """A default-tiled, multi-tile unfused predict peaks within the
+        auto_tile_rows budget plus its input and output arrays."""
+        import tracemalloc
+
+        plan = _fitted(pq=PredictQuant.BINARY_QUERY, dim=4096).compile()
+        assert not plan.fused_encode
+        assert plan.tile_rows == auto_tile_rows(4096)
+        X, _ = _task(seed=6, n=3 * plan.tile_rows + 1)
+        plan.predict(X[:8])  # first-call allocations outside the window
+        tracemalloc.start()
+        try:
+            plan.predict(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (24 << 20) + X.nbytes + 8 * len(X)
 
 
 class TestPredict:
@@ -114,6 +136,27 @@ class TestPredict:
             np.testing.assert_allclose(
                 plan.predict(X), ref, rtol=1e-9, atol=1e-10
             )
+        # An unfused plan given the whole batch as one tile runs the
+        # estimator's own query sequence: bit-identical.  Fused plans
+        # encode through the single-trig identity, so they keep the
+        # documented tolerance.
+        for cq in ClusterQuant:
+            for pq in PredictQuant:
+                for backend in ("packed", "dense"):
+                    model = _fitted(cq, pq, backend=backend)
+                    plan = model.compile(tile_rows=len(X))
+                    assert plan.backend_name == backend
+                    if plan.fused_encode:
+                        np.testing.assert_allclose(
+                            plan.predict(X),
+                            model.predict(X),
+                            rtol=1e-9,
+                            atol=1e-10,
+                        )
+                    else:
+                        np.testing.assert_array_equal(
+                            plan.predict(X), model.predict(X)
+                        )
 
     def test_tiling_is_invisible(self):
         """Tile sizes that do not divide the batch change nothing.
@@ -159,17 +202,14 @@ class TestPredict:
             encoder=enc,
         ).fit(X, y)
         plan = model.compile(tile_rows=33)
-        assert plan.encoder is enc and plan.enc_bases is None
+        # The plan encodes through a read-only snapshot of the encoder.
+        assert type(plan.encoder) is RandomProjectionEncoder
+        assert plan.encoder is not enc and not plan.fused_encode
+        with pytest.raises(ValueError):
+            plan.encoder._bases[0, 0] = 1.0
         np.testing.assert_allclose(
             plan.predict(X), model.predict(X), rtol=1e-9, atol=1e-10
         )
-
-
-class TestTileScratch:
-    def test_footprint_is_bounded_by_tile(self):
-        scratch = TileScratch(64, 1000)
-        # two float64 buffers + one bool buffer
-        assert scratch.nbytes == 64 * 1000 * (8 + 8 + 1)
 
 
 class TestPlanRefresh:
@@ -206,7 +246,7 @@ class TestPlanRefresh:
         assert after["rows_refreshed"] == before["rows_refreshed"]
         # the decayed scales still reach the plan
         np.testing.assert_allclose(
-            plan.model_scales, model.models.scales
+            plan.model_op.scales, model.models.scales
         )
 
     def test_refresh_rejects_foreign_model(self):

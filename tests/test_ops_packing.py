@@ -132,18 +132,15 @@ class TestPackedHamming:
         with pytest.raises(DimensionalityError):
             packed_hamming_similarity(pa, pa, 0)
 
-    def test_column_tiling_matches_untiled(self):
+    def test_column_tiling_matches_untiled(self, monkeypatch):
         """A tiny cache-block budget forces many blocks yet changes nothing."""
         a = random_binary(7, 300, seed=10)
         b = random_binary(31, 300, seed=11)
         pa, _ = pack_bits(a)
         pb, _ = pack_bits(b)
         whole = packed_hamming_distance(pa, pb)
-        packing.set_popcount_block_kib(1)
-        try:
-            np.testing.assert_array_equal(packed_hamming_distance(pa, pb), whole)
-        finally:
-            packing.set_popcount_block_kib(None)
+        monkeypatch.setattr(packing, "POPCOUNT_BLOCK_BYTES", 1 << 10)
+        np.testing.assert_array_equal(packed_hamming_distance(pa, pb), whole)
         np.testing.assert_array_equal(whole, hamming_distance(a, b))
 
     def test_table_fallback_matches_bitwise_count(self, monkeypatch):
@@ -173,14 +170,6 @@ class TestPackedSignProducts:
         B = np.ones((1, 64))
         got = packed_sign_products(pack_sign_words(A), pack_sign_words(B), 64)
         assert got[0, 0] == 64.0
-
-    def test_out_bits_scratch(self):
-        rng = np.random.default_rng(21)
-        A = rng.normal(size=(6, 128))
-        scratch = np.empty((8, 128), dtype=bool)
-        np.testing.assert_array_equal(
-            pack_sign_words(A, out_bits=scratch), pack_sign_words(A)
-        )
 
     def test_validation(self):
         words = pack_sign_words(np.zeros((2, 64)))
