@@ -2,25 +2,30 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench examples reproduce clean
+.PHONY: install test bench perfbench examples reproduce clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
+# The tier-1 suite, run from source.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repo benchmark's own tests (REPRO_BACKEND cleared, as in CI).
+perfbench:
+	env -u REPRO_BACKEND $(PYTHON) -m pytest perfbench -q
 
 # Run every example end to end (a few minutes total).
 examples:
-	set -e; for f in examples/*.py; do echo "=== $$f ==="; $(PYTHON) $$f; done
+	set -e; for f in examples/*.py; do echo "=== $$f ==="; PYTHONPATH=src $(PYTHON) $$f; done
 
 # Regenerate everything EXPERIMENTS.md quotes and capture the logs.
 reproduce:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 	@echo "benchmark tables written under benchmarks/results/"
 
 clean:

@@ -30,6 +30,7 @@ from repro.core.ensemble import RegHDEnsemble
 from repro.core.estimator import (
     BaseEstimator,
     BaseRegHDEstimator,
+    EncodedBatch,
     TargetScaler,
 )
 from repro.core.multi import MultiModelRegHD
@@ -72,6 +73,7 @@ __all__ = [
     "RegHDEnsemble",
     "BaseEstimator",
     "BaseRegHDEstimator",
+    "EncodedBatch",
     "TargetScaler",
     "MultiModelRegHD",
     "MultiOutputRegHD",

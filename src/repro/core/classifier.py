@@ -33,7 +33,7 @@ from repro.registry import register_model
 from repro.runtime import resolve_backend
 from repro.types import ArrayLike, FloatArray, SeedLike
 from repro.utils.rng import as_generator, derive_generator
-from repro.utils.validation import check_2d, check_matching_lengths
+from repro.utils.validation import check_matching_lengths
 
 
 @register_model("classifier")
@@ -130,16 +130,15 @@ class HDClassifier(BaseRegHDEstimator):
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "HDClassifier":
         """Iteratively train one hypervector per class."""
-        X_arr = check_2d("X", X)
+        S = self._encoded(X)
         y_arr = np.asarray(y)
         if y_arr.ndim != 1:
             raise ConfigurationError(f"y must be 1-D, got shape {y_arr.shape}")
-        check_matching_lengths("X", X_arr, "y", y_arr)
+        check_matching_lengths("X", S, "y", y_arr)
 
         self.classes_, labels = np.unique(y_arr, return_inverse=True)
         if len(self.classes_) < 2:
             raise ConfigurationError("need at least two classes")
-        S = self._encode_normalized(X_arr)
         self.class_vectors_ = np.zeros((len(self.classes_), self.dim))
 
         # Single-pass bundling initialisation, then error-driven epochs.
@@ -177,7 +176,7 @@ class HDClassifier(BaseRegHDEstimator):
         """Similarity of each input to every class hypervector."""
         if not self._fitted:
             raise NotFittedError("HDClassifier used before fit")
-        S = self._encode_normalized(check_2d("X", X))
+        S = self._encoded(X)
         return self.runtime.linear_dots(S, self._effective_class_vectors())
 
     def predict(self, X: ArrayLike) -> np.ndarray:

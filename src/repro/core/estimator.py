@@ -20,7 +20,11 @@ owns it once:
   input validation, encode + row-normalise, target scaling, and the
   ``fit`` / ``partial_fit`` / ``predict`` skeleton; concrete models only
   provide the trainer-protocol hooks (``fit_epoch`` /
-  ``predict_encoded`` / ``end_epoch``) and their learned-state arrays.
+  ``predict_encoded`` / ``end_epoch``) and their learned-state arrays;
+* :class:`EncodedBatch` — the output of
+  :meth:`BaseRegHDEstimator.encode`, accepted wherever raw rows are, so
+  a caller that predicts and then trains on the same rows (the
+  prequential stream) encodes them once.
 
 Composite estimators (:class:`~repro.core.multioutput.MultiOutputRegHD`,
 :class:`~repro.core.ensemble.RegHDEnsemble`) extend
@@ -29,6 +33,7 @@ Composite estimators (:class:`~repro.core.multioutput.MultiOutputRegHD`,
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -178,6 +183,21 @@ class TargetScaler:
             f"TargetScaler(mean={self.mean:.4g}, scale={self.scale:.4g}, "
             f"fitted={self.fitted})"
         )
+
+
+@dataclass(frozen=True)
+class EncodedBatch:
+    """A batch of rows encoded and L2-normalised once, for reuse.
+
+    Built by :meth:`BaseRegHDEstimator.encode`.  ``matrix`` is the
+    read-only ``(n, D)`` hypervector batch; ``encoder`` is the encoder
+    object that produced it.  An estimator's ``fit``, ``partial_fit``
+    and ``predict`` take the batch in place of raw rows, but only when
+    they own that very encoder object.
+    """
+
+    matrix: FloatArray
+    encoder: Encoder
 
 
 # -- encoder state helpers ----------------------------------------------------
@@ -357,9 +377,30 @@ class BaseRegHDEstimator(BaseEstimator):
 
     # -- pipeline pieces ---------------------------------------------------
 
-    def _encode_normalized(self, X: ArrayLike) -> FloatArray:
-        """Encode raw rows and L2-normalise each hypervector."""
-        return normalize_rows(self.encoder.encode_batch(X))
+    def encode(self, X: ArrayLike) -> EncodedBatch:
+        """Encode raw rows and L2-normalise each hypervector, once.
+
+        The result can be handed to :meth:`fit`, :meth:`partial_fit` and
+        :meth:`predict` in place of ``X``; the encoder is frozen, so
+        every call sees exactly the hypervectors it would have encoded
+        itself.
+        """
+        return EncodedBatch(self._encoded(X), self.encoder)
+
+    def _encoded(self, X: ArrayLike | EncodedBatch) -> FloatArray:
+        """The normalised hypervectors of ``X``: stored or freshly encoded."""
+        if isinstance(X, EncodedBatch):
+            if X.encoder is not self.encoder:
+                raise ConfigurationError(
+                    "EncodedBatch was produced by a different encoder than "
+                    f"this {type(self).__name__}'s"
+                )
+            return X.matrix
+        X_arr = check_2d("X", X)
+        with span("encode"):
+            S = normalize_rows(self.encoder.encode_batch(X_arr))
+        S.flags.writeable = False
+        return S
 
     # -- per-model hooks ---------------------------------------------------
 
@@ -580,31 +621,30 @@ class BaseRegHDEstimator(BaseEstimator):
 
     def fit(
         self,
-        X: ArrayLike,
+        X: ArrayLike | EncodedBatch,
         y: ArrayLike,
         *,
-        X_val: ArrayLike | None = None,
+        X_val: ArrayLike | EncodedBatch | None = None,
         y_val: ArrayLike | None = None,
     ):
         """Iteratively train on ``(X, y)`` until convergence.
 
         Validation data, if given, drives the convergence criterion;
-        otherwise training MSE is monitored.
+        otherwise training MSE is monitored.  ``X`` and ``X_val`` may be
+        raw rows or :class:`EncodedBatch` results of :meth:`encode`.
         """
-        X_arr = check_2d("X", X)
+        S = self._encoded(X)
         y_arr = check_1d("y", y)
-        check_matching_lengths("X", X_arr, "y", y_arr)
+        check_matching_lengths("X", S, "y", y_arr)
 
         self._record_targets(y_arr)
         y_train = self._prepare_fit_targets(y_arr)
-        S = self._encode_normalized(X_arr)
         S_val = None
         y_val_train = None
         if X_val is not None and y_val is not None:
-            X_val_arr = check_2d("X_val", X_val)
+            S_val = self._encoded(X_val)
             y_val_arr = check_1d("y_val", y_val)
-            check_matching_lengths("X_val", X_val_arr, "y_val", y_val_arr)
-            S_val = self._encode_normalized(X_val_arr)
+            check_matching_lengths("X_val", S_val, "y_val", y_val_arr)
             y_val_train = self._transform_targets(y_val_arr)
 
         self._reset_learned_state()
@@ -615,36 +655,36 @@ class BaseRegHDEstimator(BaseEstimator):
         self._fitted = True
         return self
 
-    def partial_fit(self, X: ArrayLike, y: ArrayLike):
+    def partial_fit(self, X: ArrayLike | EncodedBatch, y: ArrayLike):
         """One online pass over ``(X, y)`` without resetting the model.
 
         Target scaling is frozen after the first call (estimated from the
         first batch), making this suitable for streaming workloads.
+        ``X`` may be raw rows or an :class:`EncodedBatch`.
         """
         if not self.supports_partial_fit:
             raise ConfigurationError(
                 f"{type(self).__name__} does not support partial_fit"
             )
-        X_arr = check_2d("X", X)
+        S = self._encoded(X)
         y_arr = check_1d("y", y)
-        check_matching_lengths("X", X_arr, "y", y_arr)
+        check_matching_lengths("X", S, "y", y_arr)
         self._record_targets(y_arr)
         self.scaler.freeze_once(y_arr)
         self._fitted = True
         y_train = self.scaler.transform(y_arr)
-        S = self._encode_normalized(X_arr)
         self.fit_epoch(S, y_train, np.arange(len(y_train)))
         self._after_partial_fit()
         return self
 
-    def predict(self, X: ArrayLike) -> FloatArray:
-        """Predict targets (original units) for raw feature rows."""
+    def predict(self, X: ArrayLike | EncodedBatch) -> FloatArray:
+        """Predict targets (original units) for raw rows or an
+        :class:`EncodedBatch`."""
         if not self._fitted:
             raise NotFittedError(
                 f"{type(self).__name__}.predict called before fit"
             )
-        with span("encode"):
-            S = self._encode_normalized(check_2d("X", X))
+        S = self._encoded(X)
         with span("search"):
             return self._finalize_predictions(self.predict_encoded(S))
 

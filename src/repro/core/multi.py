@@ -39,6 +39,7 @@ import numpy as np
 from repro.core.config import ConvergencePolicy, RegHDConfig
 from repro.core.estimator import (
     BaseRegHDEstimator,
+    EncodedBatch,
     encoder_from_state,
     take_array,
 )
@@ -59,7 +60,6 @@ from repro.runtime import (
 from repro.telemetry import metrics as _metrics
 from repro.types import ArrayLike, FloatArray
 from repro.utils.rng import derive_generator
-from repro.utils.validation import check_2d
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine import CompiledPlan
@@ -383,22 +383,22 @@ class MultiModelRegHD(BaseRegHDEstimator):
             rematerialize=rematerialize,
         )
 
-    def cluster_assignments(self, X: ArrayLike) -> np.ndarray:
+    def cluster_assignments(self, X: ArrayLike | EncodedBatch) -> np.ndarray:
         """Index of the most similar cluster centre per input row."""
         if not self._fitted:
             raise NotFittedError("cluster_assignments called before fit")
-        S = self._encode_normalized(check_2d("X", X))
+        S = self._encoded(X)
         return np.argmax(self._cluster_similarities(Query(S)), axis=1)
 
-    def confidences(self, X: ArrayLike) -> FloatArray:
+    def confidences(self, X: ArrayLike | EncodedBatch) -> FloatArray:
         """Per-cluster softmax confidences ``delta'`` for each input row."""
         if not self._fitted:
             raise NotFittedError("confidences called before fit")
-        S = self._encode_normalized(check_2d("X", X))
+        S = self._encoded(X)
         return self._confidences(self._cluster_similarities(Query(S)))
 
     def responsibilities(
-        self, X: ArrayLike, *, temperature: float | None = None
+        self, X: ArrayLike | EncodedBatch, *, temperature: float | None = None
     ) -> FloatArray:
         """Soft-cluster responsibilities per input row: ``(n, k)``.
 
@@ -416,13 +416,13 @@ class MultiModelRegHD(BaseRegHDEstimator):
             raise ConfigurationError(
                 f"temperature must be > 0, got {temperature}"
             )
-        S = self._encode_normalized(check_2d("X", X))
+        S = self._encoded(X)
         sims = self._cluster_similarities(Query(S))
         return self.runtime.confidences(sims, float(temperature))
 
     def predict_dist(
         self,
-        X: ArrayLike,
+        X: ArrayLike | EncodedBatch,
         *,
         alpha: float = 0.1,
         temperature: float | None = None,
@@ -448,7 +448,7 @@ class MultiModelRegHD(BaseRegHDEstimator):
             raise ConfigurationError(
                 f"temperature must be > 0, got {temperature}"
             )
-        S = self._encode_normalized(check_2d("X", X))
+        S = self._encoded(X)
         query = self._query(S)
         sims = self._cluster_similarities(query)
         resp = self.runtime.confidences(sims, float(temperature))

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.config import RegHDConfig
 from repro.core.estimator import (
     BaseEstimator,
+    EncodedBatch,
     encoder_from_state,
     encoder_state,
 )
@@ -113,6 +114,10 @@ class MultiOutputRegHD(BaseEstimator):
         """The shared encoder."""
         return self._encoder
 
+    def _encode(self, X: ArrayLike) -> EncodedBatch:
+        """Encode ``X`` once for every head (they share one encoder)."""
+        return self.heads[0].encode(X)
+
     def _validate_targets(self, X: FloatArray, Y: ArrayLike) -> FloatArray:
         Y_arr = np.asarray(Y, dtype=np.float64)
         if Y_arr.ndim == 1:
@@ -136,15 +141,17 @@ class MultiOutputRegHD(BaseEstimator):
         X_arr = check_2d("X", X)
         Y_arr = self._validate_targets(X_arr, Y)
         Y_val_arr = None
-        X_val_arr = None
+        encoded_val = None
         if X_val is not None and Y_val is not None:
             X_val_arr = check_2d("X_val", X_val)
             Y_val_arr = self._validate_targets(X_val_arr, Y_val)
+            encoded_val = self._encode(X_val_arr)
+        encoded = self._encode(X_arr)
         for output, head in enumerate(self.heads):
             head.fit(
-                X_arr,
+                encoded,
                 Y_arr[:, output],
-                X_val=X_val_arr,
+                X_val=encoded_val,
                 y_val=None if Y_val_arr is None else Y_val_arr[:, output],
             )
         self._fitted = True
@@ -154,8 +161,9 @@ class MultiOutputRegHD(BaseEstimator):
         """One online pass for every head."""
         X_arr = check_2d("X", X)
         Y_arr = self._validate_targets(X_arr, Y)
+        encoded = self._encode(X_arr)
         for output, head in enumerate(self.heads):
-            head.partial_fit(X_arr, Y_arr[:, output])
+            head.partial_fit(encoded, Y_arr[:, output])
         self._fitted = True
         return self
 
@@ -163,8 +171,8 @@ class MultiOutputRegHD(BaseEstimator):
         """Predict all outputs: shape ``(n, n_outputs)``."""
         if not self._fitted:
             raise NotFittedError("MultiOutputRegHD.predict called before fit")
-        X_arr = check_2d("X", X)
-        return np.column_stack([head.predict(X_arr) for head in self.heads])
+        encoded = self._encode(X)
+        return np.column_stack([head.predict(encoded) for head in self.heads])
 
     # -- state protocol -----------------------------------------------------
 

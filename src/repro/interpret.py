@@ -102,8 +102,8 @@ def prediction_breakdown(
         raise ConfigurationError(
             f"prediction_breakdown explains one row; got shape {x_arr.shape}"
         )
-    S = model._encode_normalized(x_arr[np.newaxis, :])
-    query = Query(S)
+    encoded = model.encode(x_arr)
+    query = Query(encoded.matrix)
     sims = model._cluster_similarities(query)
     conf = model._confidences(sims)[0]
     dots = model.runtime.model_dots(query, model._model_op)[0]
@@ -116,7 +116,7 @@ def prediction_breakdown(
         )
         for i in range(model.n_models)
     )
-    prediction = float(model.predict(x_arr[np.newaxis, :])[0])
+    prediction = float(model.predict(encoded)[0])
     return PredictionExplanation(
         prediction=prediction,
         baseline=float(model.scaler.mean),

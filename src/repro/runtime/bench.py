@@ -173,7 +173,7 @@ def run_training_benchmark(
         for backend in BACKENDS:
             model = _quantised_model(dim, features, seed, backend)
             # One shared encoding pass: timing isolates kernel arithmetic.
-            S = model._encode_normalized(X)
+            S = model.encode(X).matrix
             cells[backend] = _time_training(model, S, y, epochs=epochs)
         for backend, stats in cells.items():
             results.append({"dim": int(dim), "backend": backend, **stats})

@@ -5,7 +5,8 @@ This module packages the pieces a deployed streaming learner needs around
 :class:`MultiModelRegHD`:
 
 * **prequential evaluation** — every arriving batch is predicted *before*
-  it is trained on, so the reported error is honest online error;
+  it is trained on, so the reported error is honest online error; the
+  batch is encoded once and that encoding feeds both calls;
 * **exponential forgetting** — model hypervectors decay by a factor per
   batch, bounding the influence horizon of stale data (a bundle is a sum,
   so scaling it down-weights the past without touching the encoder);
@@ -370,7 +371,7 @@ class StreamingRegHD:
             registry.counter("reghd_distributed_absorbs_total").inc()
 
     def update(self, X: ArrayLike, y: ArrayLike) -> StreamBatchReport:
-        """Absorb one arriving batch (predict-then-train).
+        """Absorb one arriving batch (predict-then-train, encoded once).
 
         Returns the prequential report for this batch; the full history
         accumulates on :attr:`history`.
@@ -383,9 +384,12 @@ class StreamingRegHD:
         prequential: float | None = None
         drift = False
         with _tracing.trace("stream/batch", batch=self._batch_counter):
+            # The encoder is frozen, so one encoding serves both the
+            # prequential predict and the training pass.
+            encoded = self.model.encode(X_arr)
             if self.fitted:
                 with span("predict"):
-                    predictions = self.model.predict(X_arr)
+                    predictions = self.model.predict(encoded)
                 prequential = mean_squared_error(y_arr, predictions)
                 if self.conformal is not None:
                     # Same honest predict-then-train residuals feed the
@@ -407,7 +411,7 @@ class StreamingRegHD:
                     )
                     self.model.models.rebinarize()
             with span("train"):
-                self.model.partial_fit(X_arr, y_arr)
+                self.model.partial_fit(encoded, y_arr)
         self._plan_stale = True  # model changed; next predict refreshes
 
         report = StreamBatchReport(

@@ -6,8 +6,19 @@ import pytest
 from repro import RegHDConfig
 from repro.core import ConvergencePolicy
 from repro.core.multioutput import MultiOutputRegHD
+from repro.encoding import NonlinearEncoder
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.metrics import r2_score
+
+class CountingEncoder(NonlinearEncoder):
+    """A nonlinear encoder that counts its ``encode_batch`` calls."""
+
+    calls = 0
+
+    def encode_batch(self, X):
+        self.calls += 1
+        return super().encode_batch(X)
+
 
 CONFIG = RegHDConfig(
     dim=512, n_models=4, seed=0,
@@ -86,6 +97,21 @@ class TestMultiOutput:
         for start in range(0, 400, 100):
             model.partial_fit(X[start : start + 100], Y[start : start + 100])
         assert np.isfinite(model.predict(Xte)).all()
+
+    def test_heads_share_one_encode_per_call(self, task):
+        X, Y, Xte, _ = task
+        encoder = CountingEncoder(5, CONFIG.dim, np.random.default_rng(0))
+        model = MultiOutputRegHD(5, 3, CONFIG, encoder=encoder)
+        model.partial_fit(X[:100], Y[:100])
+        assert encoder.calls == 1
+        preds = model.predict(Xte)
+        assert encoder.calls == 2
+        np.testing.assert_array_equal(
+            preds, np.column_stack([head.predict(Xte) for head in model.heads])
+        )
+        encoder.calls = 0
+        model.fit(X[:100], Y[:100], X_val=Xte, Y_val=Y[:200])
+        assert encoder.calls == 2  # X and X_val, once each
 
     def test_validation_forwarded(self, task):
         X, Y, Xte, Yte = task

@@ -7,13 +7,14 @@ from repro.core import MultiModelRegHD, RegHDConfig, SingleModelRegHD
 from repro.core.config import ConvergencePolicy
 from repro.core.estimator import (
     BaseRegHDEstimator,
+    EncodedBatch,
     TargetScaler,
     encoder_from_state,
     encoder_state,
     take_array,
 )
 from repro.encoding import NonlinearEncoder
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionalityError
 
 
 class TestTargetScaler:
@@ -163,3 +164,67 @@ class TestBaseEstimatorProtocol:
         np.testing.assert_array_equal(
             model.predict(X), MultiModelRegHD.from_state(*state).predict(X)
         )
+
+
+def _multi(seed: int = 0) -> MultiModelRegHD:
+    return MultiModelRegHD(
+        3,
+        RegHDConfig(
+            dim=64,
+            n_models=2,
+            seed=seed,
+            convergence=ConvergencePolicy(max_epochs=3, patience=1),
+        ),
+    )
+
+
+class TestEncodedBatch:
+    def setup_method(self):
+        rng = np.random.default_rng(6)
+        self.X = rng.normal(size=(24, 3))
+        self.y = np.sin(self.X[:, 0]) + self.X[:, 1]
+
+    def test_encode_matches_raw_rows_everywhere(self):
+        encoded_model, raw_model = _multi(), _multi()
+        encoded = encoded_model.encode(self.X)
+        assert isinstance(encoded, EncodedBatch)
+        assert encoded.matrix.shape == (24, 64)
+        assert encoded.encoder is encoded_model.encoder
+        encoded_model.partial_fit(encoded, self.y)
+        raw_model.partial_fit(self.X, self.y)
+        np.testing.assert_array_equal(
+            encoded_model.predict(encoded), raw_model.predict(self.X)
+        )
+        encoded_model.fit(encoded, self.y, X_val=encoded, y_val=self.y)
+        raw_model.fit(self.X, self.y, X_val=self.X, y_val=self.y)
+        np.testing.assert_array_equal(
+            encoded_model.models.integer, raw_model.models.integer
+        )
+        np.testing.assert_array_equal(
+            encoded_model.cluster_assignments(encoded),
+            raw_model.cluster_assignments(self.X),
+        )
+
+    def test_foreign_encoder_is_rejected(self):
+        model, other = _multi(), _multi()  # equal encoders, distinct objects
+        foreign = other.encode(self.X)
+        with pytest.raises(ConfigurationError, match="different encoder"):
+            model.partial_fit(foreign, self.y)
+        model.partial_fit(self.X, self.y)
+        with pytest.raises(ConfigurationError, match="different encoder"):
+            model.predict(foreign)
+        with pytest.raises(ConfigurationError, match="different encoder"):
+            model.fit(self.X, self.y, X_val=foreign, y_val=self.y)
+
+    def test_target_length_must_match_the_batch(self):
+        model = _multi()
+        encoded = model.encode(self.X)
+        with pytest.raises(DimensionalityError):
+            model.partial_fit(encoded, self.y[:-1])
+        with pytest.raises(DimensionalityError):
+            model.fit(encoded, self.y[:-1])
+
+    def test_stored_matrix_is_read_only(self):
+        encoded = _multi().encode(self.X)
+        with pytest.raises(ValueError, match="read-only"):
+            encoded.matrix[0, 0] = 1.0

@@ -245,3 +245,95 @@ class TestStreamHistoryBounds:
             StreamHistory(max_reports=0)
         with pytest.raises(ConfigurationError):
             StreamingRegHD(4, CONFIG, max_history=-1)
+
+
+def _count_encodes(model, monkeypatch) -> list:
+    """Record the row count of every ``encode_batch`` call on ``model``."""
+    calls: list[int] = []
+    encode_batch = model.encoder.encode_batch
+
+    def counting(X):
+        calls.append(len(X))
+        return encode_batch(X)
+
+    monkeypatch.setattr(model.encoder, "encode_batch", counting)
+    return calls
+
+
+def _resilient(tmp_path):
+    from repro.reliability.resilient import ResilientStreamingRegHD
+    from repro.reliability.watchdog import Watchdog
+    from repro.robust.conformal import AdaptiveConformal
+
+    return ResilientStreamingRegHD(
+        4,
+        CONFIG,
+        guard="repair",
+        checkpoint_dir=tmp_path,
+        checkpoint_every=5,
+        watchdog=Watchdog(baseline_batches=10, window=3, fail_factor=4.0),
+        detector=PageHinkley(threshold=1.0),
+        conformal=AdaptiveConformal(alpha=0.1, window=64),
+        forgetting=0.99,
+    )
+
+
+def _faulty_batches():
+    """A concept flip at batch 20, a NaN every seventh batch (repaired by
+    the guard), then grossly poisoned targets (watchdog rollback)."""
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        X = rng.normal(size=(32, 4))
+        y = np.sin(2 * X[:, 0]) + X[:, 1]
+        if i >= 20:
+            y = 2.0 - y
+        if i % 7 == 3:
+            X[0, 1] = np.nan
+        yield X, y
+    for _ in range(3):
+        yield rng.normal(size=(32, 4)), 1e4 * np.ones(32)
+
+
+class TestEncodeOnce:
+    def test_update_encodes_each_batch_once(self, monkeypatch):
+        stream = StreamingRegHD(4, CONFIG)
+        calls = _count_encodes(stream.model, monkeypatch)
+        for n, (X, y) in enumerate(_stream_batches(0, 6, 16, seed=0), 1):
+            stream.update(X, y)
+            assert calls == [16] * n
+
+    def test_matches_the_two_encode_loop_bit_for_bit(
+        self, tmp_path, monkeypatch
+    ):
+        """Guard repair, forgetting, a drift and a watchdog rollback: the
+        encode-once stream must match a twin whose ``model.encode`` hands
+        the raw rows back, so its update runs ``model.predict(X)`` and
+        then ``model.partial_fit(X, y)``, each encoding ``X`` itself."""
+        stream = _resilient(tmp_path / "once")
+        twin = _resilient(tmp_path / "twice")
+        monkeypatch.setattr(twin.model, "encode", lambda X: X)
+        once = _count_encodes(stream.model, monkeypatch)
+        twice = _count_encodes(twin.model, monkeypatch)
+        for X, y in _faulty_batches():
+            stream.update(X, y)
+            twin.update(X, y)
+
+        assert len(twice) == 2 * len(once) - 1  # the first batch predicts nothing
+        reports = list(stream.history.reports)
+        assert any(r.drift_detected for r in reports)
+        assert any(r.rolled_back for r in reports)
+        assert any(r.guard is not None and not r.guard.clean for r in reports)
+        np.testing.assert_array_equal(
+            stream.history.mse_curve(), twin.history.mse_curve()
+        )
+        assert [r.drift_detected for r in reports] == [
+            r.drift_detected for r in twin.history.reports
+        ]
+        ours, theirs = stream.conformal.get_state(), twin.conformal.get_state()
+        np.testing.assert_array_equal(ours.pop("residuals"), theirs.pop("residuals"))
+        assert ours == theirs
+        for name in ("clusters", "models"):
+            np.testing.assert_array_equal(
+                getattr(stream.model, name).integer,
+                getattr(twin.model, name).integer,
+            )

@@ -201,6 +201,35 @@ class TestExemplars:
         assert hist.exemplars() == {}
 
 
+class TestStreamingSpans:
+    def test_update_encodes_once_beside_predict_and_train(self):
+        rng = np.random.default_rng(0)
+        stream = StreamingRegHD(4, RegHDConfig(dim=128, n_models=2, seed=0))
+        stream.update(rng.normal(size=(8, 4)), rng.normal(size=8))
+        tracer = telemetry.enable_tracing()
+        stream.update(rng.normal(size=(8, 4)), rng.normal(size=8))
+        by_name: dict[str, list] = {}
+        for record in tracer.records:
+            by_name.setdefault(record.name, []).append(record)
+        (root,) = by_name["stream/batch"]
+        (encode,) = by_name["encode"]
+        (predict,) = by_name["predict"]
+        (train,) = by_name["train"]
+        assert encode.parent_id == root.span_id
+        assert predict.parent_id == train.parent_id == root.span_id
+
+    def test_predict_on_an_encoded_batch_opens_no_encode_span(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(8, 4))
+        model = MultiModelRegHD(4, RegHDConfig(dim=128, n_models=2, seed=0))
+        model.partial_fit(X, rng.normal(size=8))
+        encoded = model.encode(X)
+        tracer = telemetry.enable_tracing()
+        with telemetry.trace("serve"):
+            model.predict(encoded)
+        assert [r.name for r in tracer.records] == ["search", "serve"]
+
+
 class TestBitIdenticalPredictions:
     def test_streaming_predictions_identical_tracing_on_and_off(
         self, tiny_regression
