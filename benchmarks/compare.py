@@ -1,26 +1,21 @@
 #!/usr/bin/env python
 """Standalone benchmark regression gate.
 
-Compares two benchmark JSON records and exits non-zero when the newer
-one regresses throughput beyond the threshold::
+Compares two benchmark JSON records of the same kind and exits 1 when
+the newer one regresses beyond the threshold, 2 when the two records
+cannot be judged against each other (different kinds, or a kind with no
+gate)::
 
     python benchmarks/compare.py BENCH_inference.json new.json
     python benchmarks/compare.py BENCH_distributed.json new.json
 
-The record kind is dispatched on the ``benchmark`` field:
-``BENCH_inference.json`` records diff raw ``rows_per_s`` per
-``(dim, variant)`` cell (:func:`repro.engine.bench.compare_inference_records`),
-``BENCH_distributed.json`` records per worker count
-(:func:`repro.distributed.bench.compare_distributed_records`), and
-``BENCH_workloads.json`` SLO records per workload
-(:func:`repro.workloads.compare_workload_records` — tail RMSE plus
-pass→fail gate flips; latency is machine-bound and never diffed).  For
-the throughput records, the same workload on a different machine falls
-back to comparing machine-independent speedup ratios with doubled
-slack, and records with different benchmark parameters (quick vs full
-sweep) are incomparable and pass with a warning.  ``repro bench
---compare BASELINE`` runs the inference check in-process right after a
-benchmark finishes.
+The gate is :func:`repro.bench.compare_records`; its table
+(:data:`repro.bench.GATES`) says per record kind which cells are raw
+throughput (same host), machine-independent ratios (across hosts) and
+seeded quality values (whenever the params match).  Records with
+different benchmark parameters (quick vs full sweep) are incomparable
+and pass with a note.  ``repro bench SUITE --compare BASELINE`` runs the
+same gate in-process right after a suite finishes.
 """
 
 from __future__ import annotations
@@ -30,59 +25,25 @@ import json
 import sys
 from pathlib import Path
 
-from repro.distributed.bench import compare_distributed_records
-from repro.engine.bench import compare_inference_records
-from repro.workloads import compare_workload_records
+from repro.bench import compare_records, print_report
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", help="reference BENCH_inference.json")
+    parser.add_argument("baseline", help="reference benchmark record")
     parser.add_argument("current", help="newly produced benchmark record")
     parser.add_argument(
         "--threshold",
         type=float,
         default=0.10,
-        help="fractional rows/s drop that counts as a regression "
-        "(default 0.10; cross-machine or quick-mode records double it)",
+        help="fractional drop (or quality rise) that counts as a regression "
+        "(default 0.10; cross-machine, and quick inference/training, "
+        "records double it for throughput)",
     )
     args = parser.parse_args(argv)
-
     baseline = json.loads(Path(args.baseline).read_text())
     current = json.loads(Path(args.current).read_text())
-    if current.get("benchmark") == "reghd-distributed-scaling":
-        report = compare_distributed_records(
-            baseline, current, threshold=args.threshold
-        )
-    elif current.get("benchmark") == "reghd-workload-replay":
-        report = compare_workload_records(
-            baseline, current, threshold=args.threshold
-        )
-    else:
-        report = compare_inference_records(
-            baseline, current, threshold=args.threshold
-        )
-
-    mode = "rows/s (same machine+params)" if report["strict"] else (
-        "speedup ratios (machine-independent)"
-    )
-    print(f"benchmark compare: {mode}, {report['compared']} cells")
-    if report["note"]:
-        print(f"note: {report['note']}")
-    for line in report["lines"]:
-        marker = "  REGRESSION " if line in report["regressions"] else "  "
-        print(marker + line)
-    if not report["compared"]:
-        print("warning: no comparable cells between the two records")
-        return 0
-    if report["regressions"]:
-        print(
-            f"{len(report['regressions'])} regression(s) beyond "
-            f"{report['threshold']:.0%}"
-        )
-        return 1
-    print("no regressions")
-    return 0
+    return print_report(compare_records(baseline, current, args.threshold))
 
 
 if __name__ == "__main__":

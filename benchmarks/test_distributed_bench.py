@@ -1,6 +1,6 @@
 """Distributed-training scaling benchmark (BENCH_distributed.json shape).
 
-Runs :func:`repro.distributed.bench.run_distributed_benchmark` in quick
+Runs :func:`repro.bench.run_distributed_benchmark` in quick
 mode and asserts the record's honesty contract: host_cpus stamped, the
 scaling note present, per-worker curves carrying both the raw rows/s
 and the machine-independent speedup ratio, and the quality columns
@@ -18,10 +18,7 @@ import json
 import pytest
 
 from _common import save_result
-from repro.distributed.bench import (
-    compare_distributed_records,
-    run_distributed_benchmark,
-)
+from repro.bench import run_distributed_benchmark
 from repro.evaluation import render_table
 
 
@@ -82,26 +79,3 @@ def test_scaling_record(benchmark, record):
 def test_record_is_json_serialisable(record):
     assert json.loads(json.dumps(record)) == record
 
-
-def test_self_comparison_has_no_regressions(record):
-    report = compare_distributed_records(record, record)
-    assert report["strict"]
-    assert report["compared"] == len(record["curves"])
-    assert not report["regressions"]
-
-
-def test_cross_machine_comparison_uses_speedup_ratios(record):
-    other = json.loads(json.dumps(record))
-    other["host_cpus"] = record["host_cpus"] + 63
-    report = compare_distributed_records(record, other)
-    assert not report["strict"]
-    assert "speedup" in report["note"]
-    assert not report["regressions"]
-
-
-def test_different_params_are_incomparable(record):
-    other = json.loads(json.dumps(record))
-    other["params"] = dict(other["params"], n_rows=123456)
-    report = compare_distributed_records(record, other)
-    assert report["compared"] == 0
-    assert "incomparable" in report["note"]

@@ -1,7 +1,7 @@
 """End-to-end inference engine throughput — float vs packed vs threaded.
 
-Runs the same sweep the CLI ``bench`` subcommand runs
-(:func:`repro.engine.run_inference_benchmark`): a fitted quantised
+Runs the same sweep as ``repro bench inference``
+(:func:`repro.bench.run_inference_benchmark`): a fitted quantised
 ``MultiModelRegHD`` served three ways — the model's own float path, the
 compiled packed plan single-threaded, and the packed plan fanned over a
 thread pool — across D ∈ {1k, 4k, 10k}.  Asserts the ISSUE-2 acceptance
@@ -10,7 +10,7 @@ the quantised configuration, and every variant must agree numerically.
 
 Writes ``benchmarks/results/engine_throughput.txt``; the canonical JSON
 record at the repo root (``BENCH_inference.json``) is produced by
-``python -m repro.cli bench``.
+``python -m repro.cli bench inference``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import numpy as np
 import pytest
 
 from _common import save_result
-from repro.engine import run_inference_benchmark
-from repro.engine.bench import DEFAULT_DIMS, _fitted_model
-from repro.evaluation import render_table
+from repro.bench import DEFAULT_DIMS, SUITES, quantised_config, run_inference_benchmark
+from repro.core.multi import MultiModelRegHD
 
 
 @pytest.fixture(scope="module")
@@ -32,30 +31,9 @@ def record():
 
 
 def test_engine_throughput_sweep(record):
-    rows = [
-        {
-            "dim": r["dim"],
-            "variant": r["variant"],
-            "rows_per_s": r["rows_per_s"],
-            "p50_ms": r["p50_ms"],
-            "p99_ms": r["p99_ms"],
-        }
-        for r in record["results"]
-    ]
-    table = render_table(
-        rows,
-        precision=2,
-        title="inference engine throughput "
-        f"(batch={record['params']['batch_rows']} rows)",
-    )
-    lines = [table, ""]
-    for dim, ratios in record["speedups"].items():
-        lines.append(
-            f"D={dim:>6}: packed {ratios['packed_vs_float']:.2f}x, "
-            f"packed+threads {ratios['packed_mt_vs_float']:.2f}x vs float"
-        )
-    save_result("engine_throughput", "\n".join(lines))
-    print("\n" + "\n".join(lines))
+    summary = SUITES["inference"].summary(record)
+    save_result("engine_throughput", summary)
+    print("\n" + summary)
 
     # Acceptance shape: packed wins for the quantised config at D >= 4096.
     for dim, ratios in record["speedups"].items():
@@ -68,7 +46,10 @@ def test_engine_throughput_sweep(record):
 
 def test_variants_agree_numerically():
     """The three served paths are the same function, not three models."""
-    model = _fitted_model(dim=1000, features=16, seed=0)
+    rng = np.random.default_rng(0)
+    model = MultiModelRegHD(16, quantised_config(dim=1000, seed=0))
+    X_fit = rng.normal(size=(256, 16))
+    model.partial_fit(X_fit, np.sin(X_fit[:, 0]) + 0.5 * X_fit[:, 1])
     X = np.random.default_rng(1).normal(size=(257, 16))
     ref = model.predict(X)
     packed = model.compile(backend="packed")

@@ -1,9 +1,10 @@
 """Contamination benchmark — the Mahalanobis gate's recovery under outliers.
 
-Runs the three-way comparison from :mod:`repro.robust.bench` (quick
-mode): a clean ``drop``-policy stream, the same stream with 10 % of the
-joint ``[x, y]`` rows replaced by correlated heavy-tailed outliers, and
-the contaminated stream behind the ``mahalanobis`` guard with an
+Runs the three-way comparison from
+:func:`repro.bench.run_robustness_benchmark` (quick mode): a clean
+``drop``-policy stream, the same stream with 10 % of the joint
+``[x, y]`` rows replaced by correlated heavy-tailed outliers, and the
+contaminated stream behind the ``mahalanobis`` guard with an
 :class:`~repro.robust.AdaptiveConformal` calibrator.  Asserts the
 acceptance criteria: the gate recovers at least 80 % of the
 contamination-induced RMSE gap, and prequential conformal coverage at
@@ -15,8 +16,8 @@ from __future__ import annotations
 import pytest
 
 from _common import save_result
+from repro.bench import run_robustness_benchmark
 from repro.evaluation import render_table
-from repro.robust.bench import run_robustness_benchmark
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """Training throughput — dense vs packed kernel backends.
 
-Runs :func:`repro.runtime.bench.run_training_benchmark`: the quantised
+Runs :func:`repro.bench.run_training_benchmark`: the quantised
 ``MultiModelRegHD`` training hot loop (``fit_epoch`` + ``end_epoch`` on
 pre-encoded data, under the trainer's ``begin_training`` cache protocol)
 timed at D ∈ {4096, 10000} on both registered backends.  Asserts the
@@ -23,8 +23,7 @@ import pathlib
 import pytest
 
 from _common import save_result
-from repro.evaluation import render_table
-from repro.runtime.bench import TRAIN_DIMS, run_training_benchmark
+from repro.bench import SUITES, TRAIN_DIMS, run_training_benchmark
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -35,33 +34,9 @@ def record():
 
 
 def test_training_throughput_sweep(record):
-    rows = [
-        {
-            "dim": r["dim"],
-            "backend": r["backend"],
-            "rows_per_s": r["rows_per_s"],
-            "mean_epoch_ms": r["mean_epoch_ms"],
-        }
-        for r in record["results"]
-    ]
-    table = render_table(
-        rows,
-        precision=2,
-        title="training throughput "
-        f"({record['params']['rows']} rows x {record['params']['epochs']} epochs)",
-    )
-    lines = [table, ""]
-    for dim, ratios in record["speedups"].items():
-        lines.append(f"D={dim:>6}: packed {ratios['packed_vs_dense']:.2f}x vs dense")
-    refresh = record["plan_refresh"]
-    lines.append(
-        f"plan refresh: {refresh['refreshes']} refreshes, "
-        f"{refresh['rows_refreshed']} rows re-packed, "
-        f"{refresh['rows_reused']} reused "
-        f"({100 * refresh['reuse_fraction']:.0f}% reuse)"
-    )
-    save_result("train_throughput", "\n".join(lines))
-    print("\n" + "\n".join(lines))
+    summary = SUITES["training"].summary(record)
+    save_result("train_throughput", summary)
+    print("\n" + summary)
 
     (REPO_ROOT / "BENCH_training.json").write_text(
         json.dumps(record, indent=2) + "\n"

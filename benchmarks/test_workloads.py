@@ -18,12 +18,12 @@ import json
 import pytest
 
 from _common import save_result
+from repro.bench import compare_records
 from repro.evaluation import render_table
 from repro.workloads import (
     BENCHMARK_NAME,
     ReplayEngine,
     available_workloads,
-    compare_workload_records,
     get_workload,
     workload_bench_record,
 )
@@ -84,7 +84,7 @@ def test_record_is_json_serialisable(record):
 
 
 def test_self_comparison_has_no_regressions(record):
-    report = compare_workload_records(record, record)
+    report = compare_records(record, record)
     assert report["strict"]
     assert report["compared"] == record["params"]["n_workloads"]
     assert not report["regressions"]
@@ -93,13 +93,13 @@ def test_self_comparison_has_no_regressions(record):
 def test_gate_flip_is_a_regression(record):
     other = json.loads(json.dumps(record))
     other["results"][0]["passed"] = False
-    report = compare_workload_records(record, other)
+    report = compare_records(record, other)
     assert len(report["regressions"]) == 1
 
 
 def test_different_mode_is_incomparable(record):
     other = json.loads(json.dumps(record))
     other["quick"] = False
-    report = compare_workload_records(record, other)
+    report = compare_records(record, other)
     assert report["compared"] == 0
     assert "comparable" in report["note"]

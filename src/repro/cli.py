@@ -47,6 +47,7 @@ from repro import (
     save_model,
 )
 from repro.baselines import DecisionTreeRegressor, MLPRegressor, RidgeRegression, SVR
+from repro.bench import DEFAULT_DIMS, SUITES, compare_records, print_report
 from repro.core import ClusterQuant, ConvergencePolicy, PredictQuant
 from repro.core.capacity import capacity, false_positive_probability
 from repro.datasets import (
@@ -55,7 +56,6 @@ from repro.datasets import (
     train_test_split,
 )
 from repro.datasets.preprocessing import StandardScaler
-from repro.engine import compare_inference_records, run_inference_benchmark
 from repro.evaluation import render_table, run_on_split
 from repro.metrics import mean_squared_error, r2_score
 from repro.noise.injection import outlier_burst
@@ -458,57 +458,54 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_metrics_out(stream)
 
     bench = sub.add_parser(
-        "bench",
-        help="inference-engine throughput/latency benchmark "
-        "(float vs packed vs packed-multithreaded)",
+        "bench", help="run one benchmark suite and write its BENCH_<suite>.json record"
     )
-    bench.add_argument(
+    suites = bench.add_subparsers(dest="suite", metavar="SUITE", required=True)
+    for name, suite in SUITES.items():
+        p = suites.add_parser(name, help=suite.run.__doc__.splitlines()[0])
+        p.add_argument("--quick", action="store_true", help="CI smoke mode")
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument(
+            "--output",
+            default=f"BENCH_{name}.json",
+            help="where to write the JSON record",
+        )
+        p.add_argument(
+            "--compare",
+            default=None,
+            metavar="BASELINE",
+            help="gate the record against a reference record: exit 1 on a "
+            "regression, 2 when the two records cannot be compared",
+        )
+        _add_metrics_out(p)
+    inference = suites.choices["inference"]
+    inference.add_argument(
         "--dims",
-        default="1000,4096,10000",
+        default=",".join(str(d) for d in DEFAULT_DIMS),
         help="comma-separated hypervector dimensionalities to sweep",
     )
-    bench.add_argument(
+    inference.add_argument(
         "--rows", type=int, default=2048, help="rows per timed batch"
     )
-    bench.add_argument(
+    inference.add_argument(
         "--repeats", type=int, default=10, help="timed batches per variant"
     )
-    bench.add_argument(
+    inference.add_argument(
         "--features", type=int, default=16, help="raw input features"
     )
-    bench.add_argument(
+    inference.add_argument(
         "--workers",
         type=int,
         default=4,
         help="thread count for the multi-threaded variant",
     )
-    bench.add_argument("--seed", type=int, default=0, help="master seed")
-    bench.add_argument(
+    inference.add_argument(
         "--backend",
         choices=["dense", "packed"],
         default="packed",
         help="execution-runtime backend for the `packed` variant "
         "(the packed_mt cell always runs the packed backend)",
     )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: smaller batches, fewer repeats, D <= 4096",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_inference.json",
-        help="where to write the JSON perf record",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="diff rows/s against a reference record and exit non-zero "
-        "on a >10%% throughput regression (speedup-ratio fallback when "
-        "machines/params differ)",
-    )
-    _add_metrics_out(bench)
 
     tele = sub.add_parser(
         "telemetry",
@@ -1067,15 +1064,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import pathlib
 
-    registry = _metrics_session(args)
-    try:
-        dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
-    except ValueError:
-        print(f"--dims must be comma-separated integers: {args.dims!r}", file=sys.stderr)
-        return 1
-    if not dims:
-        print("--dims selected no dimensionalities", file=sys.stderr)
-        return 1
+    kwargs = {"quick": args.quick, "seed": args.seed}
+    if args.suite == "inference":
+        try:
+            dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
+        except ValueError:
+            dims = ()
+        if not dims:
+            print(f"--dims must be comma-separated integers: {args.dims!r}", file=sys.stderr)
+            return 1
+        kwargs.update(
+            dims=dims,
+            batch_rows=args.rows,
+            repeats=args.repeats,
+            features=args.features,
+            n_workers=args.workers,
+            backend=args.backend,
+        )
     baseline = None
     if args.compare is not None:
         # Read before the run: the baseline may be the output path itself.
@@ -1084,64 +1089,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"--compare: cannot read {args.compare}: {exc}", file=sys.stderr)
             return 1
-    record = run_inference_benchmark(
-        dims=dims,
-        batch_rows=args.rows,
-        repeats=args.repeats,
-        features=args.features,
-        n_workers=args.workers,
-        seed=args.seed,
-        quick=args.quick,
-        backend=args.backend,
-    )
-    rows = [
-        {
-            "dim": r["dim"],
-            "variant": r["variant"],
-            "rows_per_s": r["rows_per_s"],
-            "p50_ms": r["p50_ms"],
-            "p99_ms": r["p99_ms"],
-        }
-        for r in record["results"]
-    ]
-    print(
-        render_table(
-            rows,
-            precision=2,
-            title="inference engine throughput "
-            f"(batch={record['params']['batch_rows']} rows, "
-            f"{record['params']['repeats']} repeats)",
-        )
-    )
-    for dim, ratios in record["speedups"].items():
-        print(
-            f"D={dim:>6}: packed {ratios['packed_vs_float']:.2f}x, "
-            f"packed+threads {ratios['packed_mt_vs_float']:.2f}x vs float"
-        )
-    runtime = record["runtime"]
-    print(f"runtime backend: {runtime['backend']} (runtime v{runtime['version']})")
+    registry = _metrics_session(args)
+    suite = SUITES[args.suite]
+    record = suite.run(**kwargs)
+    print(suite.summary(record))
     out_path = pathlib.Path(args.output)
     out_path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out_path}")
     _write_metrics(registry, args)
+    failures = suite.acceptance(record)
+    for failure in failures:
+        print(f"acceptance failed: {failure}", file=sys.stderr)
+    code = 1 if failures else 0
     if baseline is not None:
-        report = compare_inference_records(baseline, record)
-        mode = "rows/s" if report["strict"] else "speedup ratios"
-        print(f"compare vs {args.compare} ({mode}, {report['compared']} cells):")
-        if report["note"]:
-            print(f"  note: {report['note']}")
-        for line in report["lines"]:
-            marker = "  REGRESSION " if line in report["regressions"] else "  "
-            print(marker + line)
-        if report["regressions"]:
-            print(
-                f"{len(report['regressions'])} regression(s) beyond "
-                f"{report['threshold']:.0%}",
-                file=sys.stderr,
-            )
-            return 1
-        print("no regressions")
-    return 0
+        print(f"compare vs {args.compare}:")
+        code = max(code, print_report(compare_records(baseline, record)))
+    return code
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
@@ -1180,7 +1143,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not files:
         print(
             f"no result tables under {results_dir}; run "
-            "`pytest benchmarks/ --benchmark-only` first",
+            "`pytest benchmarks/` first",
             file=sys.stderr,
         )
         return 1

@@ -51,7 +51,7 @@ from repro.workloads.registry import get_workload
 #: model dimensionality cap applied in quick (CI smoke) mode.
 QUICK_DIM = 512
 
-#: record tag dispatched on by ``benchmarks/compare.py``.
+#: record tag keying its row in the regression-gate table ``repro.bench.GATES``.
 BENCHMARK_NAME = "reghd-workload-replay"
 
 
@@ -519,74 +519,13 @@ class ReplayEngine:
         )
 
 
-def compare_workload_records(
-    baseline: dict, current: dict, *, threshold: float = 0.10
-) -> dict:
-    """Regression-gate two ``BENCH_workloads.json`` records.
-
-    Per shared workload, a regression is a tail-RMSE increase beyond the
-    slack or a gate that flipped from pass to fail.  Latency percentiles
-    are machine-bound and never compared; quality numbers are seeded and
-    deterministic, so records only compare when ``quick`` and ``seed``
-    match — anything else is incomparable and passes with a note.  The
-    report shape mirrors
-    :func:`repro.engine.bench.compare_inference_records` so
-    ``benchmarks/compare.py`` renders all record kinds identically.
-    """
-    report: dict = {
-        "strict": False,
-        "threshold": threshold,
-        "compared": 0,
-        "lines": [],
-        "regressions": [],
-        "note": "",
-    }
-    if baseline.get("benchmark") != current.get("benchmark"):
-        report["note"] = "different benchmark kinds; nothing to compare"
-        return report
-    same_mode = (baseline.get("quick"), baseline.get("seed")) == (
-        current.get("quick"),
-        current.get("seed"),
-    )
-    if not same_mode:
-        report["note"] = (
-            "different quick/seed settings; replay quality numbers are "
-            "only comparable at matching parameters"
-        )
-        return report
-    report["strict"] = True
-    base_by_name = {r["workload"]: r for r in baseline.get("results", [])}
-    for result in current.get("results", []):
-        ref = base_by_name.get(result["workload"])
-        if ref is None:
-            continue
-        report["compared"] += 1
-        ref_rmse = float(ref["tail_rmse"])
-        cur_rmse = float(result["tail_rmse"])
-        line = (
-            f"{result['workload']}: rmse {ref_rmse:.4f} -> {cur_rmse:.4f}, "
-            f"gate {'PASS' if ref['passed'] else 'FAIL'} -> "
-            f"{'PASS' if result['passed'] else 'FAIL'}"
-        )
-        report["lines"].append(line)
-        rmse_worse = (
-            np.isfinite(ref_rmse)
-            and np.isfinite(cur_rmse)
-            and cur_rmse > ref_rmse * (1.0 + threshold) + 1e-9
-        )
-        newly_failing = bool(ref["passed"]) and not bool(result["passed"])
-        if rmse_worse or newly_failing:
-            report["regressions"].append(line)
-    return report
-
-
 def workload_bench_record(
     reports: list[SLOReport], *, quick: bool, seed: int
 ) -> dict:
     """The ``BENCH_workloads.json`` record for a set of replay reports.
 
-    Tagged with :data:`BENCHMARK_NAME` so ``benchmarks/compare.py`` can
-    dispatch it into the regression gate alongside the other BENCH files.
+    Tagged with :data:`BENCHMARK_NAME`, the key of its row in the
+    regression-gate table :data:`repro.bench.GATES`.
     """
     return {
         "benchmark": BENCHMARK_NAME,

@@ -235,7 +235,7 @@ class TestBench:
         out_file = tmp_path / "bench.json"
         code = main(
             [
-                "bench",
+                "bench", "inference",
                 "--dims", "64,96",
                 "--rows", "32",
                 "--repeats", "2",
@@ -263,7 +263,7 @@ class TestBench:
         out_file = tmp_path / "bench.json"
         assert main(
             [
-                "bench",
+                "bench", "inference",
                 "--dims", "64",
                 "--rows", "32",
                 "--repeats", "2",
@@ -276,7 +276,7 @@ class TestBench:
         assert json.loads(out_file.read_text())["quick"] is True
 
     def test_bench_rejects_bad_dims(self, capsys):
-        assert main(["bench", "--dims", "abc"]) == 1
+        assert main(["bench", "inference", "--dims", "abc"]) == 1
         assert "--dims" in capsys.readouterr().err
 
     def test_bench_compare_gate(self, tmp_path, capsys):
@@ -284,7 +284,7 @@ class TestBench:
 
         out_file = tmp_path / "bench.json"
         args = [
-            "bench",
+            "bench", "inference",
             "--dims", "64",
             "--rows", "32",
             "--repeats", "2",
@@ -314,7 +314,7 @@ class TestBench:
     def test_bench_compare_missing_baseline(self, tmp_path, capsys):
         assert main(
             [
-                "bench", "--dims", "64", "--rows", "32", "--repeats", "1",
+                "bench", "inference", "--dims", "64", "--rows", "32", "--repeats", "1",
                 "--features", "4",
                 "--output", str(tmp_path / "b.json"),
                 "--compare", str(tmp_path / "nope.json"),

@@ -11,11 +11,8 @@ from repro import (
     compile_model,
 )
 from repro.core import ClusterQuant, ConvergencePolicy, PredictQuant
-from repro.engine import (
-    auto_tile_rows,
-    compare_inference_records,
-    run_inference_benchmark,
-)
+from repro.bench import compare_records, run_inference_benchmark
+from repro.engine import auto_tile_rows
 from repro.exceptions import (
     ConfigurationError,
     EncodingError,
@@ -378,7 +375,7 @@ class TestCompareGate:
         current = copy.deepcopy(self._record())
         for row in current["results"]:
             row["rows_per_s"] *= 0.5
-        report = compare_inference_records(self._record(), current)
+        report = compare_records(self._record(), current)
         assert report["strict"] and report["note"] is None
         assert len(report["regressions"]) == 3
 
@@ -390,16 +387,16 @@ class TestCompareGate:
         current = copy.deepcopy(baseline)
         for row in current["results"]:
             row["rows_per_s"] *= 0.85  # -15%: noise at smoke scale
-        report = compare_inference_records(baseline, current)
+        report = compare_records(baseline, current)
         assert report["strict"] and not report["regressions"]
         for row in current["results"]:
             row["rows_per_s"] *= 0.85  # -28% compounded: real regression
-        report = compare_inference_records(baseline, current)
+        report = compare_records(baseline, current)
         assert len(report["regressions"]) == 3
 
     def test_params_mismatch_is_incomparable(self):
         current = self._record(params={"batch_rows": 2048})
-        report = compare_inference_records(self._record(), current)
+        report = compare_records(self._record(), current)
         assert report["compared"] == 0 and not report["regressions"]
         assert "workload-dependent" in report["note"]
 
@@ -407,7 +404,7 @@ class TestCompareGate:
         current = self._record(machine={"cpu_count": 8})
         current["speedups"]["64"]["packed_mt_vs_float"] = 2.7  # -13% < 20%
         current["speedups"]["64"]["packed_vs_float"] = 1.0  # -50%
-        report = compare_inference_records(self._record(), current)
+        report = compare_records(self._record(), current)
         assert not report["strict"]
         assert len(report["regressions"]) == 1
         assert "packed_vs_float" in report["regressions"][0]
@@ -418,10 +415,10 @@ class TestCompareGate:
         for row in current["results"]:
             if row["variant"] == "packed":
                 row["rows_per_s"] = 1.0
-        strict = compare_inference_records(self._record(), current)
+        strict = compare_records(self._record(), current)
         assert strict["strict"] and not strict["regressions"]
         assert strict["compared"] == 2 and "skipped" in strict["note"]
         cross = self._record(machine={"cpu_count": 8})
-        ratio = compare_inference_records(cross, current)
+        ratio = compare_records(cross, current)
         assert not ratio["strict"] and not ratio["regressions"]
         assert ratio["compared"] == 1  # packed_mt vs float only

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench import compare_records
 from repro.exceptions import ConfigurationError
 from repro.workloads import (
     BENCHMARK_NAME,
@@ -21,7 +22,6 @@ from repro.workloads import (
     WORKLOAD_REGISTRY,
     Workload,
     available_workloads,
-    compare_workload_records,
     get_workload,
     register_workload,
     unregister_workload,
@@ -328,7 +328,7 @@ def _record(reports):
 
 def test_self_compare_is_clean(tiny_report):
     record = _record([tiny_report])
-    report = compare_workload_records(record, record)
+    report = compare_records(record, record)
     assert report["strict"]
     assert report["compared"] == 1
     assert not report["regressions"]
@@ -338,7 +338,7 @@ def test_rmse_regression_is_flagged(tiny_report):
     baseline = _record([tiny_report])
     current = json.loads(json.dumps(baseline))
     current["results"][0]["tail_rmse"] = tiny_report.tail_rmse * 2.0
-    report = compare_workload_records(baseline, current, threshold=0.10)
+    report = compare_records(baseline, current, threshold=0.10)
     assert len(report["regressions"]) == 1
 
 
@@ -347,7 +347,7 @@ def test_gate_flip_is_flagged_even_with_better_rmse(tiny_report):
     current = json.loads(json.dumps(baseline))
     current["results"][0]["tail_rmse"] = tiny_report.tail_rmse * 0.5
     current["results"][0]["passed"] = False
-    report = compare_workload_records(baseline, current)
+    report = compare_records(baseline, current)
     assert len(report["regressions"]) == 1
 
 
@@ -355,7 +355,7 @@ def test_mismatched_modes_are_incomparable(tiny_report):
     baseline = _record([tiny_report])
     current = json.loads(json.dumps(baseline))
     current["seed"] = 99
-    report = compare_workload_records(baseline, current)
+    report = compare_records(baseline, current)
     assert not report["strict"]
     assert report["compared"] == 0
     assert report["note"]
@@ -365,7 +365,7 @@ def test_different_benchmark_kinds_are_incomparable(tiny_report):
     baseline = _record([tiny_report])
     current = json.loads(json.dumps(baseline))
     current["benchmark"] = "reghd-distributed-scaling"
-    report = compare_workload_records(baseline, current)
+    report = compare_records(baseline, current)
     assert report["compared"] == 0
 
 
