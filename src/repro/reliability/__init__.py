@@ -5,7 +5,8 @@ under hardware faults; this package *acts* on faults in a long-running
 streaming deployment:
 
 * :mod:`~repro.reliability.checkpoint` — atomic, CRC32-checksummed,
-  rotating checkpoints with corrupt-skipping recovery;
+  rotating checkpoints with corrupt-skipping recovery, the stream's
+  report history journaled beside them;
 * :mod:`~repro.reliability.guards` — input sanitisation policies applied
   before ``predict``/``partial_fit``;
 * :mod:`~repro.reliability.watchdog` — a health envelope on prequential

@@ -35,7 +35,11 @@ def majority_vote(replicas: list[FloatArray]) -> FloatArray:
     """Elementwise median across an odd number of equal-shape replicas.
 
     For sign-flip faults the median recovers the clean value wherever
-    fewer than half the replicas are corrupted at that element.
+    fewer than half the replicas are corrupted at that element.  The
+    median is selected exactly by a min/max sorting network, so it equals
+    ``np.median(np.stack(replicas), axis=0)`` bit for bit (a NaN in any
+    replica yields NaN; a zero comes back as ``+0.0``) without stacking
+    or partitioning.
     """
     if not replicas:
         raise ConfigurationError("majority_vote needs at least one replica")
@@ -43,8 +47,17 @@ def majority_vote(replicas: list[FloatArray]) -> FloatArray:
         raise ConfigurationError(
             f"replica count must be odd, got {len(replicas)}"
         )
-    stack = np.stack([np.asarray(r, dtype=np.float64) for r in replicas])
-    return np.median(stack, axis=0)
+    values = [np.asarray(r, dtype=np.float64) for r in replicas]
+    count = len(values)
+    # Odd–even transposition sort: ``count`` rounds of compare-exchange
+    # between neighbours leave every element's replicas in order.
+    for rnd in range(count):
+        for i in range(rnd % 2, count - 1, 2):
+            low, high = values[i], values[i + 1]
+            values[i] = np.minimum(low, high)
+            values[i + 1] = np.maximum(low, high)
+    # Adding +0.0 turns -0.0 into +0.0, as np.median's mean step does.
+    return values[count // 2] + 0.0
 
 
 @dataclass(frozen=True)
@@ -133,8 +146,8 @@ class ModelScrubber:
         if not shadows:  # replicas == 1: nothing to vote against
             return 0
         voted = majority_vote([live, *shadows])
-        repaired = int(np.sum(voted != live))
-        repaired += sum(int(np.sum(voted != s)) for s in shadows)
+        repaired = int(np.count_nonzero(voted != live))
+        repaired += sum(int(np.count_nonzero(voted != s)) for s in shadows)
         live[:] = voted
         for shadow in shadows:
             shadow[:] = voted
@@ -188,9 +201,11 @@ def rematerialize(
     """
     before_models = model.models.binary.copy()
     model.models.rebinarize()
-    changed = int(np.sum(model.models.binary != before_models))
+    changed = int(np.count_nonzero(model.models.binary != before_models))
     if include_clusters:
         before_clusters = model.clusters.binary.copy()
         model.clusters.rebinarize()
-        changed += int(np.sum(model.clusters.binary != before_clusters))
+        changed += int(
+            np.count_nonzero(model.clusters.binary != before_clusters)
+        )
     return changed

@@ -42,6 +42,11 @@ _SUPPORTED_VERSIONS = (1, 2)
 #: array-name prefix namespacing per-row counts inside a delta file
 _ROWCOUNT_PREFIX = "rowcount_"
 
+#: what a corrupt or truncated ``.npz`` raises on read; zipfile reports a
+#: flipped compression method, version or encryption flag as
+#: NotImplementedError/RuntimeError
+_DECODE_ERRORS = (zipfile.BadZipFile, OSError, ValueError, EOFError, RuntimeError)
+
 
 def _read_array(
     data: np.lib.npyio.NpzFile,
@@ -63,7 +68,7 @@ def _read_array(
         raise ConfigurationError(
             f"{path}: missing array {name!r} — truncated or not a model file"
         ) from None
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
+    except _DECODE_ERRORS as exc:
         raise ConfigurationError(
             f"{path}: array {name!r} could not be decoded "
             f"(corrupt or truncated file): {exc}"
@@ -135,7 +140,7 @@ def _load_npz_and_meta(
 ) -> tuple[np.lib.npyio.NpzFile, dict]:
     try:
         data = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
+    except _DECODE_ERRORS as exc:
         raise ConfigurationError(
             f"{path}: not a readable .npz file (corrupt or truncated): {exc}"
         ) from exc
@@ -143,7 +148,7 @@ def _load_npz_and_meta(
         meta = json.loads(str(data["_meta"]))
     except KeyError:
         raise ConfigurationError(f"{path} is not a repro model file") from None
-    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+    except _DECODE_ERRORS as exc:
         raise ConfigurationError(
             f"{path}: metadata could not be decoded "
             f"(corrupt or truncated file): {exc}"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import pathlib
 from collections import deque
 from dataclasses import dataclass
@@ -186,6 +187,10 @@ class StreamHistory:
     newest ``max_reports`` reports are retained (deque-backed) and
     :attr:`drift_events` / :meth:`mse_curve` operate over that window.
     ``None`` keeps everything, matching the original behaviour.
+
+    Every appended report gets an absolute sequence number, 1-based:
+    :attr:`seq` is the newest one's (the running append count), so a
+    checkpoint journal can tell which reports it has not yet written.
     """
 
     def __init__(self, max_reports: int | None = None):
@@ -195,6 +200,24 @@ class StreamHistory:
             )
         self.max_reports = max_reports
         self.reports: deque[StreamBatchReport] = deque(maxlen=max_reports)
+        self.seq = 0
+
+    def append(self, report: StreamBatchReport) -> None:
+        """Record the next batch's report (sequence number ``seq + 1``)."""
+        self.reports.append(report)
+        self.seq += 1
+
+    def replace_last(self, report: StreamBatchReport) -> None:
+        """Swap the newest report for an enriched one, keeping its number."""
+        self.reports[-1] = report
+
+    def encoded_since(self, seq: int) -> list[tuple[int, object]]:
+        """``(sequence number, JSON-safe report)`` for every retained
+        report numbered above ``seq``, oldest first."""
+        new = min(len(self.reports), max(0, self.seq - seq))
+        tail = list(itertools.islice(reversed(self.reports), new))[::-1]
+        first = self.seq - new + 1
+        return [(first + i, _encode_value(r)) for i, r in enumerate(tail)]
 
     @property
     def n_batches(self) -> int:
@@ -228,6 +251,7 @@ class StreamHistory:
         return {
             "max_reports": self.max_reports,
             "reports": [_encode_value(r) for r in self.reports],
+            "seq": self.seq,
         }
 
     def set_state(self, state: dict) -> None:
@@ -237,6 +261,7 @@ class StreamHistory:
             (_decode_report(r) for r in state.get("reports", [])),
             maxlen=self.max_reports,
         )
+        self.seq = int(state.get("seq", len(self.reports)))
 
 
 class StreamingRegHD:
@@ -419,7 +444,7 @@ class StreamingRegHD:
             prequential_mse=prequential,
             drift_detected=drift,
         )
-        self.history.reports.append(report)
+        self.history.append(report)
         registry = _metrics.active()
         if registry is not None:
             registry.counter("reghd_stream_batches_total").inc()

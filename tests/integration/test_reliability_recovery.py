@@ -100,6 +100,17 @@ class TestKillAndRecover:
         expected = stream.checkpoints.load_latest()[1]["stream"]["detector"]
         assert recovered.detector.get_state() == expected["state"]
 
+    def test_recovered_history_keeps_checkpoint_flags(self, tmp_path):
+        """A checkpoint records its own batch's report as checkpointed."""
+        stream = ResilientStreamingRegHD(
+            4, CONFIG, checkpoint_dir=tmp_path, checkpoint_every=2,
+        )
+        for X, y in make_batches(4):
+            stream.update(X, y)
+        recovered = ResilientStreamingRegHD.recover(tmp_path)
+        flagged = [r.batch for r in recovered.history.reports if r.checkpointed]
+        assert flagged == [2, 4]
+
     def test_recover_empty_dir_raises(self, tmp_path):
         with pytest.raises(RecoveryError):
             ResilientStreamingRegHD.recover(tmp_path / "nothing_here")
