@@ -6,7 +6,6 @@ Baseline-HD comparator, and the hypervector capacity analysis.
 """
 
 from repro.core.baseline_hd import BaselineHD
-from repro.core.classifier import HDClassifier
 from repro.core.capacity import (
     capacity,
     empirical_false_positive_rate,
@@ -26,7 +25,6 @@ from repro.core.delta import (
     merge_deltas,
     merge_moments,
 )
-from repro.core.ensemble import RegHDEnsemble
 from repro.core.estimator import (
     BaseEstimator,
     BaseRegHDEstimator,
@@ -56,7 +54,6 @@ from repro.core.trainer import (
 
 __all__ = [
     "BaselineHD",
-    "HDClassifier",
     "capacity",
     "empirical_false_positive_rate",
     "empirical_true_positive_rate",
@@ -70,7 +67,6 @@ __all__ = [
     "TargetMoments",
     "merge_deltas",
     "merge_moments",
-    "RegHDEnsemble",
     "BaseEstimator",
     "BaseRegHDEstimator",
     "EncodedBatch",

@@ -26,9 +26,9 @@ owns it once:
   a caller that predicts and then trains on the same rows (the
   prequential stream) encodes them once.
 
-Composite estimators (:class:`~repro.core.multioutput.MultiOutputRegHD`,
-:class:`~repro.core.ensemble.RegHDEnsemble`) extend
-:class:`BaseEstimator` directly and compose their children's states.
+The composite :class:`~repro.core.multioutput.MultiOutputRegHD`
+extends :class:`BaseEstimator` directly and composes its children's
+states.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.encoding.base import Encoder
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.ops.normalize import normalize_rows
 from repro.registry import encoder_class, encoder_type_of
-from repro.telemetry.spans import span
+from repro.telemetry.tracing import span
 from repro.types import ArrayLike, FloatArray
 from repro.utils.validation import check_1d, check_2d, check_matching_lengths
 

@@ -12,7 +12,6 @@ from repro.ops.bundling import (
     majority_bundle,
     weighted_bundle,
 )
-from repro.ops.item_memory import ItemMemory
 from repro.ops.normalize import normalize_rows, softmax
 from repro.runtime.packing import (
     pack_bits,
@@ -53,7 +52,6 @@ __all__ = [
     "bundle",
     "majority_bundle",
     "weighted_bundle",
-    "ItemMemory",
     "normalize_rows",
     "softmax",
     "pack_bits",

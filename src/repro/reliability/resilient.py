@@ -39,7 +39,7 @@ from repro.streaming import PageHinkley, StreamBatchReport, StreamingRegHD
 from repro.telemetry import flight as _flight
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
-from repro.telemetry.spans import span
+from repro.telemetry.tracing import span
 from repro.types import ArrayLike, FloatArray
 
 

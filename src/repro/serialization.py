@@ -12,8 +12,8 @@ estimator implements the state protocol
 itself in :data:`~repro.registry.MODEL_REGISTRY`; :func:`save_model`
 writes ``(meta, arrays)`` plus integrity metadata, :func:`load_model`
 validates and dispatches through the registry.  Any registered type —
-including composites like ``MultiOutputRegHD`` and ``RegHDEnsemble`` —
-round-trips with no serializer changes.
+including the composite ``MultiOutputRegHD`` — round-trips with no
+serializer changes.
 
 File format (v2): one ``.npz`` with a ``_meta`` JSON blob and the state
 arrays flat at the top level.  ``_meta`` carries ``format_version``,

@@ -55,9 +55,9 @@ from repro.telemetry.metrics import (
     remove_event_hook,
     set_enabled,
 )
-from repro.telemetry.spans import Span, span
 from repro.telemetry.timing import monotonic
 from repro.telemetry.tracing import (
+    Span,
     SpanRecord,
     TRACE_ENV_VAR,
     TraceContext,
@@ -66,6 +66,7 @@ from repro.telemetry.tracing import (
     current_trace_id,
     disable_tracing,
     enable_tracing,
+    span,
     to_chrome_trace,
     trace,
     tracing_enabled,

@@ -1,22 +1,33 @@
-"""Trace-context propagation and Chrome trace-event export.
+"""Nested spans, trace-context propagation and Chrome trace-event export.
+
+``with span("stream"): ... with span("predict"): ...`` records the inner
+duration under the *path* ``stream/predict`` — a per-thread stack builds
+the path, so concurrently serving threads trace independently.  Each
+completed span lands as one observation in the ``reghd_span_seconds``
+histogram (:data:`SPAN_METRIC`), labelled with its path.
 
 A *trace* groups everything the pipeline did for one unit of work — a
 replay batch, a stream update, a distributed round — under one
 deterministic trace id.  :func:`trace` opens a trace as a context
 manager and installs a :class:`TraceContext` in a ``contextvars``
-variable; every :func:`~repro.telemetry.spans.span` that completes while
-the trace is open attaches to it with parent/child structure (the
-context carries a stack of open span ids).  Completed spans land as
-:class:`SpanRecord` entries in the module-level :class:`Tracer` ring,
-from which :func:`to_chrome_trace` renders the standard Chrome
-trace-event JSON (``chrome://tracing`` / Perfetto ``ph: "X"`` complete
-events).
+variable; every :func:`span` that completes while the trace is open
+attaches to it with parent/child structure (the context carries a stack
+of open span ids).  Spans completed while no trace is open still record,
+with an empty trace id.  Completed spans land as :class:`SpanRecord`
+entries in the module-level :class:`Tracer` ring, from which
+:func:`to_chrome_trace` renders the standard Chrome trace-event JSON
+(``chrome://tracing`` / Perfetto ``ph: "X"`` complete events).
 
 Design rules, matching :mod:`repro.telemetry.metrics`:
 
 * **Zero overhead when disabled.**  :func:`trace` and :func:`current`
   check the module sink (:func:`active_tracer`) first; with tracing off
   they cost one ``None`` check — no contextvar read, no allocation.
+  :func:`span` checks the metrics sink the same way and, with telemetry
+  off, returns a shared stateless no-op: no clock read, no stack.  The
+  clock is always read through :mod:`repro.telemetry.timing` as a
+  module attribute, so monkeypatching ``timing.monotonic`` pins span
+  timestamps everywhere at once.
 * **Deterministic ids.**  Trace and span ids are sequence numbers from
   the tracer, never wall-clock or random values, so two runs of the
   same seeded workload produce byte-identical trace structures (only
@@ -45,6 +56,8 @@ from repro.telemetry import metrics
 from repro.telemetry import timing
 
 __all__ = [
+    "SPAN_METRIC",
+    "Span",
     "SpanRecord",
     "TRACE_ENV_VAR",
     "TraceContext",
@@ -56,6 +69,7 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "remove_span_sink",
+    "span",
     "to_chrome_trace",
     "trace",
     "tracing_enabled",
@@ -64,6 +78,9 @@ __all__ = [
 
 #: environment variable that switches tracing (and telemetry) on at import.
 TRACE_ENV_VAR = "REPRO_TRACE"
+
+#: histogram receiving every completed span duration.
+SPAN_METRIC = "reghd_span_seconds"
 
 _TRUTHY = frozenset({"1", "true", "on", "yes"})
 
@@ -364,8 +381,8 @@ def tracing_enabled() -> bool:
 def active_tracer() -> Tracer | None:
     """The collecting tracer, or None when tracing is off.
 
-    The hot-path guard: :func:`~repro.telemetry.spans.span` checks it
-    once per span and skips all trace work when disabled.
+    :class:`Span` reads the same module global once per span and skips
+    all trace work while it is None.
     """
     return _tracer
 
@@ -435,9 +452,7 @@ def trace(name: str, **attrs: object) -> "_Trace | _NullTrace":
         return _NULL_TRACE
     ctx = _current_ctx.get()
     if ctx is not None:
-        from repro.telemetry.spans import span as _span
-
-        return _JoinedTrace(_span(name), ctx)
+        return _JoinedTrace(span(name), ctx)
     return _Trace(tracer, name, attrs)
 
 
@@ -452,6 +467,105 @@ def current_trace_id() -> str | None:
     """The open trace's id, or None."""
     ctx = current()
     return None if ctx is None else ctx.trace_id
+
+
+# -- spans -------------------------------------------------------------------
+
+_path_stack = threading.local()
+
+
+class _NullSpan:
+    """Shared no-op context manager for the disabled path."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class Span:
+    """One active span: pushes its name on the thread's path stack.
+
+    The duration is observed into ``reghd_span_seconds{span=<path>}`` on
+    exit, including when the body raises (the exception still
+    propagates).  Under an armed tracer the span also claims a
+    deterministic span id, parents itself into the open trace context,
+    and emits a :class:`SpanRecord` on exit.
+    """
+
+    __slots__ = (
+        "name", "path", "_registry", "_start", "_trace", "_span_id",
+        "_parent_id",
+    )
+
+    def __init__(self, name: str, registry: metrics.MetricsRegistry):
+        self.name = str(name)
+        self.path = self.name
+        self._registry = registry
+        self._start = 0.0
+        self._trace = None
+
+    def __enter__(self) -> "Span":
+        names = getattr(_path_stack, "names", None)
+        if names is None:
+            names = []
+            _path_stack.names = names
+        names.append(self.name)
+        self.path = "/".join(names)
+        tracer = _tracer
+        if tracer is not None:
+            ctx = _current_ctx.get()
+            self._trace = (tracer, ctx)
+            self._span_id = tracer.next_span_id()
+            self._parent_id = (
+                ctx.enter_span(self._span_id) if ctx is not None else None
+            )
+        self._start = timing.monotonic()
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        end = timing.monotonic()
+        names = _path_stack.names
+        if names and names[-1] == self.name:
+            names.pop()
+        self._registry.histogram(SPAN_METRIC, span=self.path).observe(
+            end - self._start
+        )
+        if self._trace is not None:
+            tracer, ctx = self._trace
+            if ctx is not None:
+                ctx.exit_span(self._span_id)
+            tracer.record(
+                SpanRecord(
+                    trace_id="" if ctx is None else ctx.trace_id,
+                    span_id=self._span_id,
+                    parent_id=self._parent_id,
+                    name=self.name,
+                    path=self.path,
+                    start=self._start,
+                    end=end,
+                    thread=threading.get_ident(),
+                )
+            )
+        return False
+
+
+def span(name: str) -> "Span | _NullSpan":
+    """A timing context manager for one named span.
+
+    Returns the shared null span when telemetry is disabled, so the
+    ``with`` costs one attribute check and nothing else.
+    """
+    registry = metrics.active()
+    if registry is None:
+        return _NULL_SPAN
+    return Span(name, registry)
 
 
 # -- Chrome trace-event export -----------------------------------------------

@@ -1,4 +1,4 @@
-"""Property tests for packing, item memory, streaming, and RL substrate."""
+"""Property tests for bit packing and the Page-Hinkley drift detector."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ from repro.runtime.packing import (
     unpack_bits,
 )
 from repro.ops.similarity import hamming_distance
-from repro.rl.envs import CartPole, GridWorld
 from repro.streaming import PageHinkley
 
 
@@ -71,46 +70,3 @@ class TestPageHinkleyProperties:
         detector = PageHinkley(delta=0.0, threshold=0.5)
         fired = [detector.update(level) for _ in range(200)]
         assert not any(fired)
-
-
-class TestEnvironmentProperties:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60),
-        st.integers(min_value=2, max_value=6),
-    )
-    @settings(max_examples=30)
-    def test_gridworld_observations_always_in_unit_square(self, actions, size):
-        env = GridWorld(size, obstacles=())
-        obs = env.reset()
-        for action in actions:
-            obs, reward, done = env.step(action)
-            assert 0.0 <= obs[0] <= 1.0 and 0.0 <= obs[1] <= 1.0
-            assert reward in (1.0, -1.0, -0.01)
-            if done:
-                break
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=50),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=30)
-    def test_cartpole_deterministic_given_seed(self, actions, seed):
-        def rollout():
-            env = CartPole()
-            env.reset(seed=seed)
-            trace = []
-            for action in actions:
-                obs, _, done = env.step(action)
-                trace.append(obs.copy())
-                if done:
-                    break
-            return np.array(trace)
-
-        np.testing.assert_array_equal(rollout(), rollout())
-
-    @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=20)
-    def test_cartpole_reset_bounded(self, seed):
-        env = CartPole()
-        obs = env.reset(seed=seed)
-        assert np.all(np.abs(obs) <= 0.05)

@@ -100,6 +100,25 @@ class TestFitPredict:
         mse_single = mean_squared_error(yte, single.predict(Xte))
         assert mse_multi == pytest.approx(mse_single, rel=0.5)
 
+    def test_far_ood_predictions_regress_to_training_mean(self, tiny_regression):
+        """Encodings of far-OOD inputs are near-orthogonal to every model
+        hypervector, so predictions collapse toward the training-target
+        mean — a documented HDC property (docs/faq.md)."""
+        X, y, _, _ = tiny_regression
+        model = MultiModelRegHD(
+            5,
+            RegHDConfig(
+                dim=256, n_models=4, seed=0,
+                convergence=ConvergencePolicy(max_epochs=8, patience=3),
+            ),
+        ).fit(X, y)
+        pred_far = model.predict(X[:50] + 25.0)
+        pred_in = model.predict(X[:50])
+        y_mean = float(np.mean(y))
+        assert np.mean(np.abs(pred_far - y_mean)) < np.mean(
+            np.abs(pred_in - y_mean)
+        )
+
 
 class TestClusteringBehaviour:
     def test_assignments_shape_and_range(self, clustered_regression, fast_config):

@@ -1,10 +1,15 @@
 """Documentation/code consistency checks.
 
-DESIGN.md's experiment index, the README's example list and
-EXPERIMENTS.md's benchmark references must all point at files that
-exist — these tests fail the suite when docs and code drift apart.
+DESIGN.md's experiment index, the README's example list,
+EXPERIMENTS.md's benchmark references, every backticked ``repro.…``
+name in the prose docs and every ``repro`` import in the examples and
+benchmarks those docs list must all point at files, modules or
+attributes that exist — these tests fail the suite when docs and code
+drift apart.
 """
 
+import ast
+import importlib
 import pathlib
 import re
 
@@ -12,9 +17,37 @@ import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
+#: the prose docs whose backticked ``repro.…`` names must resolve
+NAMED_API_DOCS = ["README.md", "DESIGN.md"] + sorted(
+    str(p.relative_to(REPO)) for p in (REPO / "docs").glob("*.md")
+)
+
+#: a backticked dotted name, with any call signature or glob after it
+_DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)[^`]*`")
+
 
 def _read(name: str) -> str:
     return (REPO / name).read_text()
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an importable module or an attribute
+    reached from the longest importable module prefix."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:i])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if exc.name is None or not module_name.startswith(exc.name):
+                raise  # a real import failure inside an existing module
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 
 class TestDesignDoc:
@@ -88,5 +121,58 @@ class TestDocsDirectory:
     def test_api_doc_mentions_every_subpackage(self):
         api = _read("docs/api.md")
         for sub in ("core", "encoding", "ops", "baselines", "datasets",
-                    "hardware", "noise", "evaluation", "rl", "runtime"):
+                    "hardware", "noise", "evaluation", "runtime"):
             assert f"repro.{sub}" in api, sub
+
+
+@pytest.mark.parametrize("doc", NAMED_API_DOCS)
+def test_backticked_repro_names_resolve(doc):
+    """Every `repro.x.y` a doc quotes is a module or attribute today, so
+    a deleted or renamed name cannot linger in the prose."""
+    stale = sorted(
+        {name for name in _DOTTED_NAME.findall(_read(doc)) if not _resolves(name)}
+    )
+    assert not stale, f"{doc} names what does not exist: {stale}"
+
+
+def _repro_imports(path):
+    """``(lineno, dotted name)`` for every ``repro`` import in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name.split(".")[0] == "repro"
+            ]
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module.split(".")[0] == "repro"
+        ):
+            found += [
+                (node.lineno, node.module if alias.name == "*"
+                 else f"{node.module}.{alias.name}")
+                for alias in node.names
+            ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        str(p.relative_to(REPO))
+        for d in ("examples", "benchmarks")
+        for p in sorted((REPO / d).glob("*.py"))
+    ],
+)
+def test_script_repro_imports_resolve(script):
+    """Examples and benchmarks are parsed, never run, and each ``repro``
+    import they make must resolve: deleting a module that only a script
+    imports fails the tier-1 suite instead of the next manual run."""
+    broken = [
+        f"{script}:{lineno}: {name}"
+        for lineno, name in _repro_imports(REPO / script)
+        if not _resolves(name)
+    ]
+    assert not broken, "\n".join(broken)

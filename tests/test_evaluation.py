@@ -175,3 +175,22 @@ class TestReporting:
     def test_large_numbers_scientific(self):
         text = render_table([{"x": 1.5e9}])
         assert "e+" in text
+
+
+class TestCrossValidate:
+    def test_fold_count_and_labels(self):
+        from repro.baselines import RidgeRegression
+        from repro.datasets import Dataset
+        from repro.evaluation.runner import cross_validate
+
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 3))
+        ds = Dataset("lin", X, X @ np.array([1.0, 2.0, -1.0]))
+        results = cross_validate(
+            lambda n: RidgeRegression(1e-6), ds, k=4, model_label="ridge"
+        )
+        assert len(results) == 4
+        assert {r.dataset for r in results} == {
+            "lin[fold0]", "lin[fold1]", "lin[fold2]", "lin[fold3]"
+        }
+        assert all(r.mse < 1e-6 for r in results)

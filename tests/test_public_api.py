@@ -16,7 +16,6 @@ PUBLIC_MODULES = [
     "repro.hardware",
     "repro.noise",
     "repro.evaluation",
-    "repro.rl",
     "repro.robust",
     "repro.telemetry",
 ]
@@ -50,7 +49,6 @@ def test_exports_have_docstrings(module_name):
     PUBLIC_MODULES
     + [
         "repro.streaming",
-        "repro.interpret",
         "repro.serialization",
         "repro.cli",
         "repro.metrics",

@@ -235,13 +235,49 @@ def test_removed_backend_name_is_rejected():
         MultiModelRegHD(4, RegHDConfig(dim=64, backend="packed_v2"))
 
 
-@pytest.mark.parametrize(
-    "name", ["single", "multi", "baseline_hd", "classifier", "multioutput", "ensemble"]
-)
+@pytest.mark.parametrize("name", ["single", "multi", "baseline_hd", "multioutput"])
 def test_every_model_registered(name):
     from repro.registry import MODEL_REGISTRY
 
     assert name in MODEL_REGISTRY
+
+
+def test_only_regressors_registered():
+    """Exactly the regressors are registered: a model type that comes
+    back, or one that silently drops out, fails here."""
+    from repro.registry import MODEL_REGISTRY
+
+    assert set(MODEL_REGISTRY) == {"single", "multi", "baseline_hd", "multioutput"}
+
+
+def test_removed_model_type_is_rejected(tmp_path):
+    """The seed ensemble was deleted; a file naming its model type gets
+    the registry error listing the registered types, not a KeyError."""
+    import json
+
+    import numpy as np
+
+    from repro import SingleModelRegHD
+    from repro.core import ConvergencePolicy
+    from repro.exceptions import ConfigurationError
+    from repro.serialization import load_model, save_model
+
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 4))
+    model = SingleModelRegHD(
+        4, dim=64, seed=0, convergence=ConvergencePolicy(max_epochs=2)
+    ).fit(X, X[:, 0])
+    path = save_model(model, tmp_path / "m.npz")
+    arrays = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(str(arrays["_meta"]))
+    meta["model_type"] = "ensemble"
+    arrays["_meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(
+        ConfigurationError,
+        match=r"registered: \['baseline_hd', 'multi', 'multioutput', 'single'\]",
+    ):
+        load_model(path)
 
 
 @pytest.mark.parametrize("name", ["nonlinear", "projection", "sequence"])
@@ -257,9 +293,9 @@ ROOT = SRC.parent
 EXAMPLES_DIR = ROOT / "examples"
 BENCHMARKS_DIR = ROOT / "benchmarks"
 
-#: non-regression demos whose data is symbolic (text n-grams, RL episodes)
-#: rather than a regression dataset — nothing for the registry to serve.
-DATA_GUARD_EXEMPT = {"language_identification.py", "hd_reinforcement_learning.py"}
+#: non-regression demos whose data is symbolic (text n-grams) rather than
+#: a regression dataset — nothing for the registry to serve.
+DATA_GUARD_EXEMPT = {"language_identification.py"}
 
 #: every dataset-producing callable in repro.datasets; calling one
 #: directly bypasses the registry (and the workload layer built on it).

@@ -2,7 +2,7 @@
 
 Complements ``test_serialization.py`` (error paths, tamper detection):
 this module proves that *every* registered estimator — including the
-composites that became serialisable with the registry-driven v2 format —
+composite that became serialisable with the registry-driven v2 format —
 round-trips bit-exactly through ``save_model``/``load_model``, across
 the full ClusterQuant × PredictQuant matrix, and that the checked-in v1
 fixture files keep loading forever.
@@ -17,10 +17,8 @@ from repro import MultiModelRegHD, RegHDConfig, load_model, save_model
 from repro.core import (
     ClusterQuant,
     ConvergencePolicy,
-    HDClassifier,
     MultiOutputRegHD,
     PredictQuant,
-    RegHDEnsemble,
 )
 from repro.serialization import read_metadata
 
@@ -107,45 +105,6 @@ def test_multioutput_round_trip(tmp_path, data):
     assert clone.heads[0].encoder is clone.heads[1].encoder
     np.testing.assert_array_equal(
         clone.predict(X_query), model.predict(X_query)
-    )
-
-
-def test_ensemble_round_trip(tmp_path, data):
-    """RegHDEnsemble is serialisable via the registry (new in v2); member
-    encoders are regenerated from the seeds rather than stored."""
-    X, y, X_query = data
-    model = RegHDEnsemble(
-        4,
-        RegHDConfig(dim=DIM, n_models=2, seed=SEED, convergence=CONV),
-        n_members=3,
-    ).fit(X, y)
-    path = save_model(model, tmp_path / "ens.npz")
-    clone = load_model(path)
-    assert isinstance(clone, RegHDEnsemble)
-    assert clone.n_members == 3
-    np.testing.assert_array_equal(
-        clone.predict(X_query), model.predict(X_query)
-    )
-    mean, std = model.predict_with_uncertainty(X_query)
-    mean_c, std_c = clone.predict_with_uncertainty(X_query)
-    np.testing.assert_array_equal(mean_c, mean)
-    np.testing.assert_array_equal(std_c, std)
-
-
-def test_classifier_round_trip(tmp_path):
-    rng = np.random.default_rng(SEED)
-    X = rng.normal(size=(60, 4))
-    labels = (X[:, 0] > 0).astype(int) + 2 * (X[:, 1] > 0).astype(int)
-    model = HDClassifier(4, dim=DIM, seed=SEED, convergence=CONV)
-    model.fit(X, labels)
-    path = save_model(model, tmp_path / "clf.npz")
-    clone = load_model(path)
-    X_query = rng.normal(size=(10, 4))
-    np.testing.assert_array_equal(
-        clone.predict(X_query), model.predict(X_query)
-    )
-    np.testing.assert_array_equal(
-        clone.decision_scores(X_query), model.decision_scores(X_query)
     )
 
 

@@ -28,7 +28,7 @@ from repro.core.quantization import ClusterQuant, PredictQuant
 from repro.exceptions import ConfigurationError
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import _NULL_SPAN
+from repro.telemetry.tracing import _NULL_SPAN
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "telemetry"
 
